@@ -26,18 +26,12 @@
 //!   full owned materialisation). Apples-to-apples with legacy's output
 //!   shape; reported so the adapter's allocation cost stays visible.
 //!
-//! Two further sections measure the chunk-parallel scanner and the
-//! end-to-end pipeline:
+//! A further section measures the end-to-end pipeline:
 //!
-//! * **parallel_scan** — `try_scan_records_threaded` at 1/2/4/8 worker
-//!   threads per workload, with speedups reported against the 1-thread
-//!   (serial) scan *on this host*. The summary records `host_cpus`; on
-//!   a single-core host the multi-thread numbers honestly show the
-//!   chunking overhead instead of a fabricated speedup.
 //! * **classify** — the full detection pipeline on a fitted model, two
 //!   ways: the retained owned path (detect dialect, parse to owned
 //!   `Table`, classify) vs the borrowed path (`try_detect_structure`:
-//!   chunked scan, classification over borrowed cells, owned
+//!   zero-copy scan, classification over borrowed cells, owned
 //!   materialisation deferred to the end). Their ratio is the
 //!   `pipeline_speedup` headline.
 //!
@@ -49,8 +43,7 @@
 //! still recorded alongside. `BENCH_SMOKE=1` shrinks the workloads and
 //! the iteration counts for CI smoke runs. `scripts/bench_parse.sh`
 //! gates on the headlines `speedup_scan_vs_legacy` and
-//! `pipeline_speedup` against the committed baseline, and (on hosts
-//! with ≥ 4 CPUs) on the 4-thread parallel-scan speedup.
+//! `pipeline_speedup` against the committed baseline.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -60,9 +53,7 @@ use rand::prelude::*;
 use strudel::{Limits, Strudel, StrudelCellConfig, StrudelLineConfig};
 use strudel_datagen::{saus, GeneratorConfig};
 use strudel_dialect::legacy::parse_legacy;
-use strudel_dialect::{
-    detect_dialect, parse, scan_records, try_scan_records_threaded, Deadline, Dialect,
-};
+use strudel_dialect::{detect_dialect, parse, scan_records, Dialect};
 use strudel_ml::ForestConfig;
 use strudel_table::Table;
 
@@ -258,56 +249,6 @@ fn measure(w: &Workload, iters: usize, dialect: &Dialect) -> Measurement {
     }
 }
 
-/// Thread counts of the parallel-scan sweep. 1 is the serial baseline
-/// (`try_scan_records_threaded` falls back below 2 workers).
-const SCAN_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// One (workload, thread-count) cell of the parallel-scan sweep.
-struct ParallelMeasurement {
-    workload: &'static str,
-    threads: usize,
-    mean_s: f64,
-    min_s: f64,
-}
-
-/// Chunk-parallel scan plus the same touch-every-field resolution loop
-/// as [`scan_and_resolve`], so the thread sweep is comparable with the
-/// serial `scan` numbers above.
-fn scan_threaded_and_resolve(text: &str, dialect: &Dialect, n_threads: usize) -> usize {
-    let records = try_scan_records_threaded(
-        text,
-        dialect,
-        &Limits::unbounded(),
-        Deadline::none(),
-        n_threads,
-    )
-    .expect("unbounded scan succeeds");
-    let mut total = 0usize;
-    for rec in records.iter() {
-        for cell in rec.iter() {
-            total += cell.len();
-        }
-    }
-    total
-}
-
-fn measure_parallel(w: &Workload, iters: usize, dialect: &Dialect) -> Vec<ParallelMeasurement> {
-    SCAN_THREADS
-        .iter()
-        .map(|&threads| {
-            let (mean, min) = time(iters, || {
-                black_box(scan_threaded_and_resolve(&w.text, dialect, threads));
-            });
-            ParallelMeasurement {
-                workload: w.name,
-                threads,
-                mean_s: mean,
-                min_s: min,
-            }
-        })
-        .collect()
-}
-
 /// End-to-end pipeline comparison on a fitted model.
 struct ClassifyMeasurement {
     bytes: usize,
@@ -353,7 +294,7 @@ fn detect_owned_path(model: &Strudel, text: &str) -> usize {
     model.detect_structure_of_table(table, dialect).lines.len()
 }
 
-/// The borrowed path: `try_detect_structure` scans in chunks, extracts
+/// The borrowed path: `try_detect_structure` scans zero-copy, extracts
 /// features over borrowed field spans, and materialises owned cells
 /// only for the final `Structure`.
 fn detect_borrowed_path(model: &Strudel, text: &str) -> usize {
@@ -393,14 +334,7 @@ fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
-fn write_json(
-    path: &str,
-    results: &[Measurement],
-    parallel: &[ParallelMeasurement],
-    classify: &ClassifyMeasurement,
-    headline: f64,
-    parallel_4t: f64,
-) {
+fn write_json(path: &str, results: &[Measurement], classify: &ClassifyMeasurement, headline: f64) {
     let mut entries = String::new();
     for (i, m) in results.iter().enumerate() {
         if i > 0 {
@@ -427,41 +361,18 @@ fn write_json(
             m.iters
         ));
     }
-    let mut parallel_entries = String::new();
-    for (i, p) in parallel.iter().enumerate() {
-        if i > 0 {
-            parallel_entries.push_str(",\n");
-        }
-        let serial = parallel
-            .iter()
-            .find(|q| q.workload == p.workload && q.threads == 1)
-            .expect("1-thread baseline present");
-        parallel_entries.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \
-             \"mean_s\": {:.6}, \"min_s\": {:.6}, \
-             \"speedup_vs_serial\": {:.3}}}",
-            p.workload,
-            p.threads,
-            p.mean_s,
-            p.min_s,
-            serial.min_s / p.min_s
-        ));
-    }
     let json = format!(
         "{{\n  \"bench\": \"parse\",\n  \"smoke\": {},\n  \
          \"host_cpus\": {},\n  \
          \"results\": [\n{}\n  ],\n  \
-         \"parallel_scan\": [\n{}\n  ],\n  \
          \"classify\": {{\"bytes\": {}, \"owned_mean_s\": {:.6}, \
          \"owned_min_s\": {:.6}, \"borrowed_mean_s\": {:.6}, \
          \"borrowed_min_s\": {:.6}, \"iters\": {}}},\n  \
          \"speedup_scan_vs_legacy\": {:.3},\n  \
-         \"parallel_scan_speedup_4t\": {:.3},\n  \
          \"pipeline_speedup\": {:.3}\n}}\n",
         smoke(),
         host_cpus(),
         entries,
-        parallel_entries,
         classify.bytes,
         classify.owned_mean_s,
         classify.owned_min_s,
@@ -469,7 +380,6 @@ fn write_json(
         classify.borrowed_min_s,
         classify.iters,
         headline,
-        parallel_4t,
         classify.pipeline_speedup()
     );
     std::fs::write(path, json).expect("write bench summary");
@@ -500,36 +410,6 @@ fn summary() {
         );
     }
 
-    let parallel: Vec<ParallelMeasurement> = loads
-        .iter()
-        .flat_map(|w| measure_parallel(w, iters, &dialect))
-        .collect();
-    println!("host_cpus: {}", host_cpus());
-    for p in &parallel {
-        let serial = parallel
-            .iter()
-            .find(|q| q.workload == p.workload && q.threads == 1)
-            .expect("1-thread baseline present");
-        println!(
-            "parallel_scan {} @{} threads: {:.4}s min ({:.2}x vs serial)",
-            p.workload,
-            p.threads,
-            p.min_s,
-            serial.min_s / p.min_s
-        );
-    }
-    let parallel_4t = {
-        let serial = parallel
-            .iter()
-            .find(|p| p.workload == "verbose_mixed" && p.threads == 1)
-            .expect("verbose_mixed serial scan present");
-        let four = parallel
-            .iter()
-            .find(|p| p.workload == "verbose_mixed" && p.threads == 4)
-            .expect("verbose_mixed 4-thread scan present");
-        serial.min_s / four.min_s
-    };
-
     // End-to-end classification runs on a smaller verbose file than the
     // parse workloads: feature extraction and forest walks cost far
     // more per byte than scanning does.
@@ -552,7 +432,7 @@ fn summary() {
     // directory as cwd), so the artifact lands next to BENCH_train.json.
     let out = std::env::var("BENCH_PARSE_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parse.json").into());
-    write_json(&out, &results, &parallel, &classify, headline, parallel_4t);
+    write_json(&out, &results, &classify, headline);
 }
 
 fn parse_throughput(c: &mut Criterion) {
@@ -580,27 +460,6 @@ fn parse_throughput(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    // The thread sweep as Criterion entries, on the representative
-    // workload only — the JSON summary covers all workloads.
-    let verbose = loads
-        .iter()
-        .find(|w| w.name == "verbose_mixed")
-        .expect("verbose_mixed workload present");
-    let mut pgroup = c.benchmark_group("parallel_scan");
-    pgroup.sample_size(10);
-    for &threads in &SCAN_THREADS {
-        pgroup.bench_with_input(
-            BenchmarkId::from_parameter(format!("verbose_mixed/{threads}t")),
-            &verbose.text,
-            |b, text| {
-                b.iter(|| {
-                    black_box(scan_threaded_and_resolve(text, &dialect, threads));
-                })
-            },
-        );
-    }
-    pgroup.finish();
 
     summary();
 }

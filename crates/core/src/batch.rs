@@ -92,8 +92,9 @@ impl From<&Path> for BatchInput {
 pub struct BatchConfig {
     /// Number of worker threads; `0` picks the available parallelism.
     /// Each worker runs whole files, so per-file inference is pinned to
-    /// one thread whenever more than one worker exists (no
-    /// oversubscription from nested parallelism).
+    /// one thread whenever more than one worker exists
+    /// ([`inference_threads`]; no oversubscription from nested
+    /// parallelism).
     pub n_threads: usize,
     /// Per-file resource limits, including the wall-clock budget. The
     /// default is [`Limits::standard`]; use [`Limits::unbounded`] to
@@ -264,6 +265,27 @@ pub fn resolve_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Inference threads for one unit of work when `workers` units (batch
+/// files, daemon shards) run side by side: `1` whenever there are
+/// several workers, which already spread the load over the cores, and
+/// `0` (resolved by [`resolve_threads`]) for a lone worker. The single
+/// source of truth for that rule in `batch` and `serve`.
+///
+/// A lone worker splits the forest's rows across threads
+/// (`RandomForest::predict_proba_batch`), the one level of parallelism
+/// inside a file. It stays because it pays: on a 2-CPU host, forcing
+/// the forest serial on the seeded benchmark's `long_stream_pack`
+/// workload (1 MiB windows, 2 threads, seeds 101–104) cut throughput by
+/// 27% (1.126 → 0.819 MB/s) and raised p99 latency by 34%. Scanning is
+/// serial.
+pub fn inference_threads(workers: usize) -> usize {
+    if workers > 1 {
+        1
+    } else {
+        0
+    }
+}
+
 /// Result of a batch run: one structure (or per-file typed error) per
 /// input, in input order, plus the aggregate report.
 #[derive(Debug)]
@@ -284,9 +306,7 @@ pub struct BatchResult {
 pub fn detect_all(model: &Strudel, inputs: &[BatchInput], config: &BatchConfig) -> BatchResult {
     let start = Instant::now();
     let threads = resolve_threads(config.n_threads).min(inputs.len()).max(1);
-    // With several file-level workers, per-file inference stays on one
-    // thread; a single worker may fan out over samples instead.
-    let inner_threads = if threads > 1 { 1 } else { 0 };
+    let inner_threads = inference_threads(threads);
 
     let next = AtomicUsize::new(0);
     type Slot = (Result<Structure, StrudelError>, FileOutcome);
@@ -369,7 +389,7 @@ pub fn detect_all_streamed(
 ) -> BatchReport {
     let start = Instant::now();
     let threads = resolve_threads(config.n_threads).min(inputs.len()).max(1);
-    let inner_threads = if threads > 1 { 1 } else { 0 };
+    let inner_threads = inference_threads(threads);
 
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<FileOutcome>> = Vec::new();
@@ -865,5 +885,12 @@ mod tests {
         assert_eq!(resolve_threads(3), 3);
         assert_eq!(resolve_threads(1), 1);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn inference_threads_pins_one_per_worker_when_several() {
+        assert_eq!(inference_threads(1), 0);
+        assert_eq!(inference_threads(2), 1);
+        assert_eq!(inference_threads(8), 1);
     }
 }

@@ -1,10 +1,11 @@
-//! Minimal JSON rendering shared by the batch report and the structure
-//! serializer.
+//! Minimal JSON rendering shared by the batch report, the structure
+//! serializers and the daemon.
 //!
 //! The workspace is dependency-free by policy, so the few places that
 //! emit JSON (the [`BatchReport`](crate::batch::BatchReport), the
-//! `detect --json` CLI output, and the `strudel serve` classify
-//! endpoint) share this hand-rolled writer instead of pulling in serde.
+//! `detect --json` CLI output, and the `strudel serve` endpoints) share
+//! this hand-rolled writer instead of pulling in serde: one string
+//! escaper ([`json_string`]) and one dialect writer ([`dialect_json`]).
 //! [`Structure::to_json`] is the *canonical* machine-readable rendering
 //! of a detection result: the CLI and the server both emit it verbatim,
 //! which is what lets the daemon's integration tests assert that a
@@ -12,9 +13,10 @@
 
 use crate::pipeline::Structure;
 use std::fmt::Write;
+use strudel_dialect::Dialect;
 
 /// Escape a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -30,6 +32,23 @@ pub(crate) fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// The dialect object of the canonical structure JSON, on one line:
+/// `{"delimiter": ",", "quote": "\"", "escape": null}`. Shared by
+/// [`Structure::to_json`], [`crate::stream_to_json`] and the daemon's
+/// streaming summary event.
+pub fn dialect_json(dialect: &Dialect) -> String {
+    let char_field = |c: Option<char>| match c {
+        Some(c) => json_string(&c.to_string()),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"delimiter\": {}, \"quote\": {}, \"escape\": {}}}",
+        json_string(&dialect.delimiter.to_string()),
+        char_field(dialect.quote),
+        char_field(dialect.escape),
+    )
 }
 
 impl Structure {
@@ -55,18 +74,7 @@ impl Structure {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let char_field = |c: Option<char>| match c {
-            Some(c) => json_string(&c.to_string()),
-            None => "null".to_string(),
-        };
-        writeln!(
-            out,
-            "  \"dialect\": {{\"delimiter\": {}, \"quote\": {}, \"escape\": {}}},",
-            json_string(&self.dialect.delimiter.to_string()),
-            char_field(self.dialect.quote),
-            char_field(self.dialect.escape),
-        )
-        .unwrap();
+        writeln!(out, "  \"dialect\": {},", dialect_json(&self.dialect)).unwrap();
         writeln!(out, "  \"n_rows\": {},", self.table.n_rows()).unwrap();
         writeln!(out, "  \"n_cols\": {},", self.table.n_cols()).unwrap();
         let lines: Vec<String> = self

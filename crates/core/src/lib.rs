@@ -51,7 +51,7 @@ mod column;
 mod derived;
 mod extract;
 pub mod hash;
-mod json;
+pub mod json;
 mod keywords;
 mod line_classifier;
 mod line_features;

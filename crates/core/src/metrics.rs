@@ -107,13 +107,6 @@ pub trait Metrics {
     /// Observe that `stage` ran for `elapsed`.
     fn record(&mut self, stage: Stage, elapsed: Duration);
 
-    /// Observe that the parse stage scanned the input in `chunks`
-    /// chunks (`1` = serial scan). Sinks that only care about timing
-    /// keep the default no-op.
-    fn record_parse_chunks(&mut self, chunks: u64) {
-        let _ = chunks;
-    }
-
     /// Observe that the streaming classifier closed and emitted
     /// `windows` windows. Sinks that only care about timing keep the
     /// default no-op.
@@ -135,7 +128,6 @@ impl Metrics for NullMetrics {
 pub struct StageTimings {
     totals: [Duration; 9],
     counts: [u64; 9],
-    parse_chunks: u64,
     stream_windows: u64,
 }
 
@@ -149,13 +141,6 @@ impl StageTimings {
     /// batch run).
     pub fn count(&self, stage: Stage) -> u64 {
         self.counts[stage.index()]
-    }
-
-    /// Total scan chunks across all recorded parse stages (a serial
-    /// parse contributes `1`; a chunk-parallel one contributes its
-    /// chunk count).
-    pub fn parse_chunks(&self) -> u64 {
-        self.parse_chunks
     }
 
     /// Total windows emitted by streaming classification runs.
@@ -178,7 +163,6 @@ impl StageTimings {
             self.totals[i] += other.totals[i];
             self.counts[i] += other.counts[i];
         }
-        self.parse_chunks += other.parse_chunks;
         self.stream_windows += other.stream_windows;
     }
 
@@ -211,11 +195,6 @@ impl StageTimings {
                 self.count(stage)
             ));
         }
-        out.push_str(&format!("# TYPE {prefix}_parse_chunks_total counter\n"));
-        out.push_str(&format!(
-            "{prefix}_parse_chunks_total {}\n",
-            self.parse_chunks
-        ));
         out.push_str(&format!("# TYPE {prefix}_stream_windows_total counter\n"));
         out.push_str(&format!(
             "{prefix}_stream_windows_total {}\n",
@@ -238,12 +217,6 @@ impl Metrics for &std::sync::Mutex<StageTimings> {
         }
     }
 
-    fn record_parse_chunks(&mut self, chunks: u64) {
-        if let Ok(mut guard) = self.lock() {
-            guard.record_parse_chunks(chunks);
-        }
-    }
-
     fn record_stream_windows(&mut self, windows: u64) {
         if let Ok(mut guard) = self.lock() {
             guard.record_stream_windows(windows);
@@ -255,10 +228,6 @@ impl Metrics for StageTimings {
     fn record(&mut self, stage: Stage, elapsed: Duration) {
         self.totals[stage.index()] += elapsed;
         self.counts[stage.index()] += 1;
-    }
-
-    fn record_parse_chunks(&mut self, chunks: u64) {
-        self.parse_chunks += chunks;
     }
 
     fn record_stream_windows(&mut self, windows: u64) {
@@ -339,21 +308,6 @@ mod tests {
         assert_eq!(b.total(Stage::Parse), Duration::from_millis(12));
         assert_eq!(b.total(Stage::CellClassify), Duration::from_millis(3));
         assert_eq!(b.count(Stage::Dialect), 1);
-    }
-
-    #[test]
-    fn parse_chunks_accumulate_merge_and_render() {
-        let mut a = StageTimings::default();
-        a.record_parse_chunks(1);
-        a.record_parse_chunks(4);
-        assert_eq!(a.parse_chunks(), 5);
-        let mut b = StageTimings::default();
-        b.record_parse_chunks(2);
-        b.merge(&a);
-        assert_eq!(b.parse_chunks(), 7);
-        let text = b.to_prometheus("strudel");
-        assert!(text.contains("# TYPE strudel_parse_chunks_total counter"));
-        assert!(text.contains("strudel_parse_chunks_total 7"));
     }
 
     #[test]

@@ -369,61 +369,7 @@ impl Strudel {
         sink: &mut dyn Metrics,
     ) -> Result<Structure, StrudelError> {
         let text = strudel_dialect::strip_bom(text);
-        self.try_detect_structure_stripped(text, limits, deadline, n_threads, sink)
-    }
-
-    /// [`try_detect_structure_guarded`](Self::try_detect_structure_guarded)
-    /// minus the BOM strip: the entry for callers that already consumed
-    /// a leading BOM (the streaming classifier strips it at the byte
-    /// level, so a second strip here would eat genuine `U+FEFF`
-    /// content).
-    pub(crate) fn try_detect_structure_stripped(
-        &self,
-        text: &str,
-        limits: &Limits,
-        deadline: Deadline,
-        n_threads: usize,
-        sink: &mut dyn Metrics,
-    ) -> Result<Structure, StrudelError> {
-        if let Some(max) = limits.max_input_bytes {
-            if text.len() as u64 > max {
-                return Err(StrudelError::limit(
-                    LimitKind::InputBytes,
-                    text.len() as u64,
-                    max,
-                ));
-            }
-        }
-        if limits.reject_binary {
-            if let Some(pos) = text.bytes().position(|b| b == 0) {
-                return Err(StrudelError::Dialect {
-                    file: None,
-                    reason: format!("binary content: NUL byte at offset {pos}"),
-                });
-            }
-        }
-        // Thread knobs resolve exactly once for the whole pipeline
-        // (explicit request → STRUDEL_THREADS → available parallelism):
-        // the chunk-parallel scanner and both forest walks see the same
-        // effective count.
-        let n_threads = crate::batch::resolve_threads(n_threads);
-        let timer = StageTimer::start(Stage::Dialect);
-        let dialect = try_detect_dialect(text, limits, deadline)?;
-        timer.stop(sink);
-        deadline.check()?;
-        let timer = StageTimer::start(Stage::Parse);
-        let (table_ref, records) =
-            try_read_table_ref_with(text, &dialect, limits, deadline, n_threads)?;
-        sink.record_parse_chunks(records.n_chunks() as u64);
-        timer.stop(sink);
-        deadline.check()?;
-        // Classification runs over the borrowed grid — no cell text has
-        // been copied out of the input buffer yet.
-        let (lines, line_probs, cells) = self.classify_grid(table_ref.view(), n_threads, sink);
-        let timer = StageTimer::start(Stage::Materialize);
-        let table = table_ref.into_table();
-        timer.stop(sink);
-        Ok(Structure::new(dialect, table, lines, line_probs, cells))
+        self.try_detect_structure_stripped(text, None, limits, deadline, n_threads, sink)
     }
 
     /// The guarded pipeline with a *known* dialect: byte-cap and binary
@@ -446,6 +392,24 @@ impl Strudel {
         n_threads: usize,
         sink: &mut dyn Metrics,
     ) -> Result<Structure, StrudelError> {
+        self.try_detect_structure_stripped(text, Some(dialect), limits, deadline, n_threads, sink)
+    }
+
+    /// The one guarded pipeline body, minus the BOM strip: byte cap,
+    /// binary check, dialect detection (skipped when `dialect` is
+    /// given), guarded parsing, classification and materialisation.
+    /// Called directly by callers that already consumed a leading BOM
+    /// (the streaming classifier strips it at the byte level, so a
+    /// second strip here would eat genuine `U+FEFF` content).
+    pub(crate) fn try_detect_structure_stripped(
+        &self,
+        text: &str,
+        dialect: Option<&Dialect>,
+        limits: &Limits,
+        deadline: Deadline,
+        n_threads: usize,
+        sink: &mut dyn Metrics,
+    ) -> Result<Structure, StrudelError> {
         if let Some(max) = limits.max_input_bytes {
             if text.len() as u64 > max {
                 return Err(StrudelError::limit(
@@ -463,19 +427,31 @@ impl Strudel {
                 });
             }
         }
+        // The thread knob resolves exactly once for the whole pipeline
+        // (explicit request → STRUDEL_THREADS → available parallelism),
+        // so both forest walks see the same effective count.
         let n_threads = crate::batch::resolve_threads(n_threads);
+        let dialect = match dialect {
+            Some(dialect) => *dialect,
+            None => {
+                let timer = StageTimer::start(Stage::Dialect);
+                let dialect = try_detect_dialect(text, limits, deadline)?;
+                timer.stop(sink);
+                dialect
+            }
+        };
         deadline.check()?;
         let timer = StageTimer::start(Stage::Parse);
-        let (table_ref, records) =
-            try_read_table_ref_with(text, dialect, limits, deadline, n_threads)?;
-        sink.record_parse_chunks(records.n_chunks() as u64);
+        let (table_ref, _) = try_read_table_ref_with(text, &dialect, limits, deadline, 1)?;
         timer.stop(sink);
         deadline.check()?;
+        // Classification runs over the borrowed grid — no cell text has
+        // been copied out of the input buffer yet.
         let (lines, line_probs, cells) = self.classify_grid(table_ref.view(), n_threads, sink);
         let timer = StageTimer::start(Stage::Materialize);
         let table = table_ref.into_table();
         timer.stop(sink);
-        Ok(Structure::new(*dialect, table, lines, line_probs, cells))
+        Ok(Structure::new(dialect, table, lines, line_probs, cells))
     }
 
     /// Detect the structure of a pre-parsed table.
@@ -716,8 +692,6 @@ mod tests {
             ));
             assert_eq!(sink.count(stage), want, "stage {} recorded", stage.name());
         }
-        // A small input scans serially: exactly one chunk.
-        assert_eq!(sink.parse_chunks(), 1);
         assert_eq!(metered, model.detect_structure(text));
 
         // The table entry point skips dialect detection and parsing but
@@ -736,7 +710,6 @@ mod tests {
         assert_eq!(sink.count(Stage::CellClassify), 1);
         // The table was already owned — nothing to materialise.
         assert_eq!(sink.count(Stage::Materialize), 0);
-        assert_eq!(sink.parse_chunks(), 0);
         assert_eq!(s.lines.len(), 6);
     }
 }

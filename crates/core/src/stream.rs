@@ -43,7 +43,7 @@
 //! unbounded limits such a record is buffered whole.
 
 use crate::extract::{to_relational, RelationalTable};
-use crate::json::json_string;
+use crate::json::dialect_json;
 use crate::metrics::{Metrics, Stage, StageTimings};
 use crate::pipeline::{Structure, Strudel};
 use std::time::{Duration, Instant};
@@ -81,7 +81,7 @@ pub struct StreamConfig {
     /// stream (one [`Deadline`] is started when the classifier is
     /// created).
     pub limits: Limits,
-    /// Threads for per-window parsing and inference; `0` resolves via
+    /// Threads for per-window inference; `0` resolves via
     /// [`crate::batch::resolve_threads`].
     pub n_threads: usize,
     /// Retain each window's text on its [`StreamWindow`] instead of
@@ -330,23 +330,14 @@ impl<'m> StreamClassifier<'m> {
         // (pinned by the stage-timings assertion) instead of being
         // recomputed here for every single-window stream that crossed
         // the prefix threshold.
-        let structure = match self.dialect {
-            Some(dialect) => self.model.try_detect_structure_with_dialect(
-                &self.buf,
-                &dialect,
-                &self.config.limits,
-                self.deadline,
-                self.config.n_threads,
-                &mut self.timings,
-            )?,
-            None => self.model.try_detect_structure_stripped(
-                &self.buf,
-                &self.config.limits,
-                self.deadline,
-                self.config.n_threads,
-                &mut self.timings,
-            )?,
-        };
+        let structure = self.model.try_detect_structure_stripped(
+            &self.buf,
+            self.dialect.as_ref(),
+            &self.config.limits,
+            self.deadline,
+            self.config.n_threads,
+            &mut self.timings,
+        )?;
         self.timings.record_stream_windows(1);
         let dialect = structure.dialect;
         let n_rows = structure.table.n_rows();
@@ -603,18 +594,7 @@ pub fn stream_to_json(windows: &[StreamWindow]) -> String {
         .unwrap_or_else(Dialect::rfc4180);
     let mut out = String::new();
     out.push_str("{\n");
-    let char_field = |c: Option<char>| match c {
-        Some(c) => json_string(&c.to_string()),
-        None => "null".to_string(),
-    };
-    writeln!(
-        out,
-        "  \"dialect\": {{\"delimiter\": {}, \"quote\": {}, \"escape\": {}}},",
-        json_string(&dialect.delimiter.to_string()),
-        char_field(dialect.quote),
-        char_field(dialect.escape),
-    )
-    .unwrap();
+    writeln!(out, "  \"dialect\": {},", dialect_json(&dialect)).unwrap();
     let n_rows: usize = windows.iter().map(|w| w.structure.table.n_rows()).sum();
     let n_cols: usize = windows
         .iter()

@@ -97,8 +97,8 @@ fn prometheus_counters_are_monotone_under_recording() {
 /// An arbitrary observation stream. Each `u64` encodes one observation:
 /// the stage index is `v % 6`, the duration is `v / 6 + 1` microseconds
 /// (the vendored proptest shim has no tuple strategies). Every seventh
-/// value additionally records a parse-chunk count so the merge algebra
-/// covers the chunk counter too.
+/// value additionally records a stream-window count so the merge
+/// algebra covers the window counter too.
 fn observations() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..50_000, 0..40)
 }
@@ -111,7 +111,7 @@ fn accumulate(observations: &[u64]) -> StageTimings {
             Duration::from_micros(v / 6 + 1),
         );
         if v % 7 == 0 {
-            t.record_parse_chunks(v % 16 + 1);
+            t.record_stream_windows(v % 16 + 1);
         }
     }
     t

@@ -22,7 +22,6 @@
 mod detect;
 mod dialect;
 pub mod legacy;
-mod parallel;
 mod parser;
 pub mod raw;
 mod scan;
@@ -34,7 +33,6 @@ pub use detect::{
     CANDIDATE_DELIMITERS, CANDIDATE_QUOTES, DETECTION_LINE_BUDGET,
 };
 pub use dialect::Dialect;
-pub use parallel::{try_scan_records_chunked, try_scan_records_threaded};
 pub use parser::{parse, try_parse, try_parse_within};
 pub use raw::{raw_records, RawRecord, Terminator};
 pub use scan::{scan_records, try_scan_records, try_scan_records_within, RecordRef, RecordsRef};
@@ -118,19 +116,23 @@ pub fn table_ref_from_records<'a>(records: &RecordsRef<'a>) -> TableRef<'a> {
     TableRef::from_cell_grid(cells, n_rows, n_cols)
 }
 
-/// The zero-copy detection parse: scan `text` (in `n_threads` chunks
-/// when `> 1`) under [`Limits`] and a [`Deadline`], check the implied
-/// grid dimensions, and build the borrowed table. Returns the records
-/// alongside the table so callers can report scan metadata (chunk
-/// counts) without re-scanning.
+/// The zero-copy detection parse: scan `text` under [`Limits`] and a
+/// [`Deadline`], check the implied grid dimensions, and build the
+/// borrowed table. Returns the records alongside the table so callers
+/// can report scan metadata (record counts) without re-scanning.
+///
+/// Scanning is serial; `_n_threads` is ignored. It stays in the
+/// signature only because the seeded benchmark under `perfbench/`
+/// calls this function with five arguments, and goes away when that
+/// benchmark next changes.
 pub fn try_read_table_ref_with<'a>(
     text: &'a str,
     dialect: &Dialect,
     limits: &Limits,
     deadline: Deadline,
-    n_threads: usize,
+    _n_threads: usize,
 ) -> Result<(TableRef<'a>, RecordsRef<'a>), StrudelError> {
-    let records = try_scan_records_threaded(strip_bom(text), dialect, limits, deadline, n_threads)?;
+    let records = try_scan_records_within(strip_bom(text), dialect, limits, deadline)?;
     deadline.check()?;
     let n_rows = records.n_records();
     let n_cols = records.iter().map(|r| r.len()).max().unwrap_or(0);

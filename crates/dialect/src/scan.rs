@@ -51,10 +51,10 @@ const BLOCK: usize = 64;
 /// When `cow` is set the range covers the field's *raw* bytes and the
 /// value is produced by re-running the single-field unescaper over it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FieldSpan {
-    pub(crate) start: usize,
-    pub(crate) end: usize,
-    pub(crate) cow: bool,
+struct FieldSpan {
+    start: usize,
+    end: usize,
+    cow: bool,
 }
 
 /// The zero-copy result of scanning one input: records of field spans
@@ -70,36 +70,12 @@ pub struct RecordsRef<'a> {
     fields: Vec<FieldSpan>,
     /// `record_ends[i]` is one past the index of record `i`'s last field.
     record_ends: Vec<usize>,
-    /// Number of chunks the input was scanned in (1 for serial scans).
-    chunks: usize,
 }
 
 impl<'a> RecordsRef<'a> {
-    pub(crate) fn from_parts(
-        text: &'a str,
-        dialect: Dialect,
-        fields: Vec<FieldSpan>,
-        record_ends: Vec<usize>,
-        chunks: usize,
-    ) -> RecordsRef<'a> {
-        RecordsRef {
-            text,
-            dialect,
-            fields,
-            record_ends,
-            chunks,
-        }
-    }
-
     /// Number of records.
     pub fn n_records(&self) -> usize {
         self.record_ends.len()
-    }
-
-    /// Number of chunks the input was scanned in — 1 for serial scans,
-    /// the worker-chunk count for [`crate::try_scan_records_threaded`].
-    pub fn n_chunks(&self) -> usize {
-        self.chunks
     }
 
     /// Whether the scan produced no records at all.
@@ -229,13 +205,7 @@ pub fn try_scan_records_within<'a>(
             ));
         }
     }
-    let mut sink = Sink {
-        limits,
-        fields: Vec::new(),
-        record_ends: Vec::new(),
-        record_len: 0,
-        n_cells: 0,
-    };
+    let mut sink = Sink::new(limits);
     if let Some(sp) = Specials::of(dialect) {
         scan_blocks(text, dialect, &sp, limits, deadline, &mut sink)?;
     } else {
@@ -246,7 +216,6 @@ pub fn try_scan_records_within<'a>(
         dialect: *dialect,
         fields: sink.fields,
         record_ends: sink.record_ends,
-        chunks: 1,
     })
 }
 
@@ -256,17 +225,17 @@ pub fn try_scan_records_within<'a>(
 
 /// Accumulates spans under the streaming row/column/cell bounds, with
 /// the exact check order (and `actual` values) of the legacy walker.
-pub(crate) struct Sink<'l> {
-    pub(crate) limits: &'l Limits,
-    pub(crate) fields: Vec<FieldSpan>,
-    pub(crate) record_ends: Vec<usize>,
+struct Sink<'l> {
+    limits: &'l Limits,
+    fields: Vec<FieldSpan>,
+    record_ends: Vec<usize>,
     /// Fields in the record currently being built.
-    pub(crate) record_len: usize,
-    pub(crate) n_cells: u64,
+    record_len: usize,
+    n_cells: u64,
 }
 
 impl<'l> Sink<'l> {
-    pub(crate) fn new(limits: &'l Limits) -> Sink<'l> {
+    fn new(limits: &'l Limits) -> Sink<'l> {
         Sink {
             limits,
             fields: Vec::new(),
@@ -276,7 +245,7 @@ impl<'l> Sink<'l> {
         }
     }
 
-    pub(crate) fn end_field(&mut self, span: FieldSpan) -> Result<(), StrudelError> {
+    fn end_field(&mut self, span: FieldSpan) -> Result<(), StrudelError> {
         if let Some(max) = self.limits.max_cols {
             if self.record_len as u64 >= max {
                 return Err(StrudelError::limit(
@@ -297,7 +266,7 @@ impl<'l> Sink<'l> {
         Ok(())
     }
 
-    pub(crate) fn end_record(&mut self, span: FieldSpan) -> Result<(), StrudelError> {
+    fn end_record(&mut self, span: FieldSpan) -> Result<(), StrudelError> {
         self.end_field(span)?;
         if let Some(max) = self.limits.max_rows {
             if self.record_ends.len() as u64 >= max {
@@ -332,7 +301,7 @@ enum State {
 }
 
 /// Per-field scanner bookkeeping.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Field {
     /// Raw start of the field (at the opening quote, if any).
     start: usize,
@@ -557,7 +526,7 @@ fn movemask(m: u64) -> u64 {
 }
 
 /// Splatted structural bytes of an ASCII dialect, for the block path.
-pub(crate) struct Specials {
+struct Specials {
     delim: u64,
     quote: u64,
     quote_en: u64,
@@ -574,7 +543,7 @@ impl Specials {
     /// accounting the legacy walker applies regardless of dialect
     /// role). Anything else — exotic, but expressible through the
     /// public [`Dialect`] — takes the scalar fallback.
-    pub(crate) fn of(dialect: &Dialect) -> Option<Specials> {
+    fn of(dialect: &Dialect) -> Option<Specials> {
         fn in_range(c: char) -> bool {
             let v = c as u32;
             (1..=0x7F).contains(&v) && c != '\n' && c != '\r'
@@ -642,98 +611,33 @@ fn char_len(b: u8) -> usize {
 // Block scanner
 // ---------------------------------------------------------------------------
 
-/// Resumable scanner state between [`scan_blocks_range`] calls: the
-/// parser state machine plus the per-field / per-line bookkeeping that
-/// crosses block and chunk boundaries. All positions are **absolute**
-/// byte offsets into the scanned text — which is what makes a range
-/// scan resumable: a state captured at byte `b` seeds a scan of
-/// `[b, e)` and produces exactly the events a whole-input scan would
-/// produce over that range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ScanState {
-    state: State,
-    fs: Field,
-    line_start: usize,
-    /// Everything before this offset has been line/field-bound checked
-    /// (or was legitimately skipped, exactly as the legacy walker skips
-    /// escaped characters and the `\n` of a `\r\n` pair).
-    checked_to: usize,
-}
-
-impl ScanState {
-    /// The scanner state exactly at a record boundary `pos` whose
-    /// terminator ended with a bare `\n`: what the scanner holds
-    /// immediately after `end_record`, and therefore the state the
-    /// parallel scanner *assumes* when speculatively entering a chunk
-    /// at `pos`. (After a `\r\n` pair the true `line_start` is
-    /// `pos - 1`, not `pos` — a legacy quirk; [`crate::parallel`]
-    /// accounts for it when deciding whether a speculative chunk result
-    /// can be spliced under a line-length bound.)
-    pub(crate) fn clean_at(pos: usize) -> ScanState {
-        ScanState {
-            state: State::FieldStart,
-            fs: Field::at(pos),
-            line_start: pos,
-            checked_to: pos,
-        }
-    }
-
-    /// Whether two states agree on everything the scanner reads when no
-    /// line-length bound is configured — `line_start` feeds only the
-    /// `max_line_bytes` check, so it may differ freely in that case.
-    pub(crate) fn eq_ignoring_line_start(&self, other: &ScanState) -> bool {
-        self.state == other.state && self.fs == other.fs && self.checked_to == other.checked_to
-    }
-}
-
-/// Outcome of [`scan_blocks_range`]: the carried state at the range end
-/// (or at the stop point) and whether the `stop_at` callback requested
-/// an early stop.
-pub(crate) struct RangeScan {
-    pub(crate) st: ScanState,
-    pub(crate) stopped: bool,
-}
-
-/// Run the SWAR block scanner over `text[from..to)` starting from
-/// `init`, emitting fields/records into `sink`. After every
-/// `end_record` the `stop_at(record_start, line_start)` callback is
-/// consulted; returning `true` stops the scan at that record boundary
-/// (used by the parallel seam repair to re-synchronise with a
-/// speculative chunk scan).
-///
-/// `to` must either be `text.len()` or lie one past a `\n` byte: the
-/// scanner consumes multi-byte events (escaped characters, `\r\n`
-/// pairs) atomically, and `\n`-aligned range ends guarantee no event
-/// straddles the end.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_blocks_range<F>(
+/// Run the SWAR block scanner over `text`, emitting fields/records into
+/// `sink`, then apply the EOF tail: resolve a pending close-quote
+/// followed by trailing plain bytes, run the final bound checks over the
+/// trailing run, and flush the trailing field per the legacy rules (the
+/// flush itself applies **no** limit checks).
+fn scan_blocks(
     text: &str,
     dialect: &Dialect,
     sp: &Specials,
     limits: &Limits,
     deadline: Deadline,
     sink: &mut Sink,
-    from: usize,
-    to: usize,
-    init: ScanState,
-    mut stop_at: F,
-) -> Result<RangeScan, StrudelError>
-where
-    F: FnMut(usize, usize) -> bool,
-{
+) -> Result<(), StrudelError> {
     let bytes = text.as_bytes();
     let len = bytes.len();
-    debug_assert!(to <= len);
-    debug_assert!(to == len || bytes[to - 1] == b'\n');
     let delim = dialect.delimiter as u8;
     let quote = dialect.quote.map(|c| c as u8);
     let escape = dialect.escape.map(|c| c as u8);
 
-    let mut state = init.state;
-    let mut fs = init.fs;
-    let mut line_start: usize = init.line_start;
-    let mut checked_to: usize = init.checked_to;
-    let mut pos: usize = from;
+    let mut state = State::FieldStart;
+    let mut fs = Field::at(0);
+    let mut line_start: usize = 0;
+    // Everything before this offset has been line/field-bound checked
+    // (or was legitimately skipped, exactly as the legacy walker skips
+    // escaped characters and the `\n` of a `\r\n` pair).
+    let mut checked_to: usize = 0;
+    let mut pos: usize = 0;
     let mut cached_block = usize::MAX;
     let mut mask = 0u64;
     let mut bytes_since_deadline: usize = 0;
@@ -760,14 +664,9 @@ where
         };
     }
 
-    // Shared tail of the three record-terminator arms, including the
-    // early-stop consultation at the new record boundary. Stopping
-    // breaks out of the scan loop rather than returning in place: a
-    // return here would inline the result construction into every
-    // terminator arm and measurably bloat the hot loop.
-    let mut stopped = false;
+    // Shared tail of the three record-terminator arms.
     macro_rules! record_end {
-        ($p:expr, $b:expr, $scan:lifetime) => {{
+        ($p:expr, $b:expr) => {{
             checks!($p, $p);
             let after = terminator_end(bytes, $p, $b);
             sink.end_record(fs.span(state, $p))?;
@@ -776,15 +675,13 @@ where
             fs = Field::at(after);
             checked_to = after;
             pos = after;
-            if stop_at(after, line_start) {
-                stopped = true;
-                break $scan;
-            }
         }};
     }
 
-    'scan: while pos < to {
-        // Locate the next structural byte at or after `pos`.
+    'scan: while pos < len {
+        // Locate the next structural byte at or after `pos`. The tail
+        // block is zero-padded and NUL is never structural, so every
+        // event lies inside the input.
         let p = loop {
             let base = pos - pos % BLOCK;
             if base != cached_block {
@@ -798,16 +695,10 @@ where
             }
             let pending = mask & (!0u64 << (pos - base));
             if pending != 0 {
-                let p = base + pending.trailing_zeros() as usize;
-                if p >= to {
-                    // Structural bytes past the range end belong to the
-                    // next chunk (and tail padding is never structural).
-                    break 'scan;
-                }
-                break p;
+                break base + pending.trailing_zeros() as usize;
             }
             pos = base + BLOCK;
-            if pos >= to {
+            if pos >= len {
                 break 'scan;
             }
         };
@@ -843,7 +734,7 @@ where
                     checked_to = p + 1;
                     pos = p + 1;
                 } else if b == b'\n' || b == b'\r' {
-                    record_end!(p, b, 'scan);
+                    record_end!(p, b);
                 } else {
                     // Escape opening the field: the escaped character is
                     // consumed without line accounting, like the legacy
@@ -870,7 +761,7 @@ where
                     checked_to = p + 1;
                     pos = p + 1;
                 } else if b == b'\n' || b == b'\r' {
-                    record_end!(p, b, 'scan);
+                    record_end!(p, b);
                 } else if is_escape {
                     checks!(p, p + 1);
                     fs.cow = true;
@@ -956,7 +847,7 @@ where
                     checked_to = p + 1;
                     pos = p + 1;
                 } else if b == b'\n' || b == b'\r' {
-                    record_end!(p, b, 'scan);
+                    record_end!(p, b);
                 } else {
                     // Stray escape character directly after the closing
                     // quote: the legacy walker pushes it literally (its
@@ -972,31 +863,6 @@ where
         }
     }
 
-    Ok(RangeScan {
-        st: ScanState {
-            state,
-            fs,
-            line_start,
-            checked_to,
-        },
-        stopped,
-    })
-}
-
-/// EOF tail of a block scan: resolve a pending close-quote followed by
-/// trailing plain bytes, run the final bound checks over the trailing
-/// run, and flush the trailing field per the legacy rules (the flush
-/// itself applies **no** limit checks).
-pub(crate) fn finish_scan(
-    text: &str,
-    dialect: &Dialect,
-    limits: &Limits,
-    sink: &mut Sink,
-    st: ScanState,
-) -> Result<(), StrudelError> {
-    let len = text.len();
-    let mut state = st.state;
-    let mut fs = st.fs;
     if state == State::QuoteInQuoted && len > fs.quote_close + 1 {
         state = State::Unquoted;
         fs.cow = true;
@@ -1004,11 +870,11 @@ pub(crate) fn finish_scan(
     run_checks(
         text,
         limits,
-        st.checked_to,
+        checked_to,
         state == State::Quoted,
         len,
         len,
-        st.line_start,
+        line_start,
         fs.content_start,
         fs.removed,
     )?;
@@ -1017,31 +883,6 @@ pub(crate) fn finish_scan(
     let empty = span_output_empty(text, dialect, &span);
     sink.flush(span, in_quote_state, empty);
     Ok(())
-}
-
-/// Whole-input serial scan: one range scan from the origin state plus
-/// the EOF tail.
-fn scan_blocks(
-    text: &str,
-    dialect: &Dialect,
-    sp: &Specials,
-    limits: &Limits,
-    deadline: Deadline,
-    sink: &mut Sink,
-) -> Result<(), StrudelError> {
-    let scan = scan_blocks_range(
-        text,
-        dialect,
-        sp,
-        limits,
-        deadline,
-        sink,
-        0,
-        text.len(),
-        ScanState::clean_at(0),
-        |_, _| false,
-    )?;
-    finish_scan(text, dialect, limits, sink, scan.st)
 }
 
 /// One past the end of a record terminator starting at `p`: consumes

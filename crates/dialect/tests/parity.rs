@@ -161,7 +161,7 @@ fn exhaustive_small_inputs_match_legacy() {
 /// with `\r\n` accounting, escape skips, and quoted-field accounting.
 #[test]
 fn exhaustive_small_inputs_match_legacy_under_limits() {
-    let alphabet = [',', '"', '\\', '\n', 'a'];
+    let alphabet = [',', '"', '\\', '\n', '\r', 'a'];
     let dialects = dialect_shapes();
     let mut limit_sets = Vec::new();
     for v in [1u64, 2] {
@@ -236,6 +236,13 @@ fn legacy_quirks_are_replicated() {
     // BOM-adjacent multi-byte content (the scanner must not split
     // multi-byte sequences when computing limit crossings).
     assert_parity("é,€\n🙂🙂,b\n", &Dialect::rfc4180());
+    // An unterminated quote swallowing the rest of a multi-block file:
+    // every later line break is quoted content.
+    let mut open = String::from("a,b\nc,d\n\"open");
+    for i in 0..200 {
+        open.push_str(&format!("\nline{i},x"));
+    }
+    assert_parity(&open, &Dialect::rfc4180());
 }
 
 /// Arbitrary printable inputs with structural characters over-weighted,

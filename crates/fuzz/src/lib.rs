@@ -52,9 +52,9 @@ use strudel::{
     StrudelLineConfig,
 };
 use strudel_dialect::legacy::try_parse_legacy;
-use strudel_dialect::{try_parse, try_scan_records_chunked, try_scan_records_within, Dialect};
+use strudel_dialect::{try_parse, Dialect};
 use strudel_ml::ForestConfig;
-use strudel_table::{Deadline, LimitKind, Limits, StrudelError};
+use strudel_table::{LimitKind, Limits, StrudelError};
 
 /// Fit the small fixed model the fuzz targets run under. Inference is a
 /// pure function of (model, input), so one cheap model exercises the
@@ -262,9 +262,8 @@ pub struct FuzzReport {
     /// Index of the first panicking input, for replay.
     pub first_panic: Option<u64>,
     /// Inputs on which any differential check disagreed — the block
-    /// scanner vs the legacy char-walker, the chunked vs the serial
-    /// scan, or the streaming panel vs the whole-file oracle — must be
-    /// zero.
+    /// scanner vs the legacy char-walker, or the streaming panel vs the
+    /// whole-file oracle — must be zero.
     pub divergences: u64,
     /// Index and description of the first divergence, for replay.
     pub first_divergence: Option<(u64, String)>,
@@ -360,65 +359,14 @@ pub fn check_divergence(input: &[u8], limits: &Limits) -> Option<String> {
                     "{label} parse under {dialect:?}: legacy {legacy:?} vs scanner {fast:?}"
                 ));
             }
-            if let Some(desc) = check_chunk_divergence(text, &dialect, &bounds, label) {
-                return Some(desc);
-            }
         }
     }
     None
 }
 
-/// Chunk counts the chunk-parity dimension sweeps: a fixed panel of
-/// small, awkward, and oversized counts, plus one count derived from the
-/// input length so the seam positions vary with every mutated input.
-fn chunk_panel(len: usize) -> [usize; 4] {
-    [2, 5, 16, len % 11 + 2]
-}
-
-/// Compare the chunked scan against the serial scan at several chunk
-/// counts: identical records (spans and unescaped values) on success,
-/// identical limit payloads on failure. Any disagreement is a seam bug
-/// in the chunk-parallel scanner.
-fn check_chunk_divergence(
-    text: &str,
-    dialect: &Dialect,
-    bounds: &Limits,
-    label: &str,
-) -> Option<String> {
-    let serial = try_scan_records_within(text, dialect, bounds, Deadline::none());
-    for k in chunk_panel(text.len()) {
-        let chunked = try_scan_records_chunked(text, dialect, bounds, Deadline::none(), k);
-        let agree = match (&serial, &chunked) {
-            (Ok(a), Ok(b)) => a.to_owned_rows() == b.to_owned_rows(),
-            (
-                Err(StrudelError::LimitExceeded {
-                    limit: la,
-                    actual: aa,
-                    max: ma,
-                    ..
-                }),
-                Err(StrudelError::LimitExceeded {
-                    limit: lb,
-                    actual: ab,
-                    max: mb,
-                    ..
-                }),
-            ) => la == lb && aa == ab && ma == mb,
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        };
-        if !agree {
-            return Some(format!(
-                "{label} chunked scan ({k} chunks) under {dialect:?} diverges from serial"
-            ));
-        }
-    }
-    None
-}
-
-/// The window geometries every fuzz input is streamed under. One thread
-/// each: the chunk-parallel scanner has its own parity dimension, and a
-/// serial window keeps the per-input cost of the panel flat.
+/// The window geometries every fuzz input is streamed under. One
+/// inference thread each: a serial window keeps the per-input cost of
+/// the panel flat.
 pub fn stream_panel() -> [StreamConfig; 3] {
     let serial = StreamConfig {
         n_threads: 1,

@@ -65,9 +65,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
-use strudel::batch::resolve_threads;
+use strudel::batch::{inference_threads, resolve_threads};
+use strudel::json::{dialect_json, json_string};
 use strudel::{
-    Dialect, LimitKind, Limits, StageTimings, StreamClassifier, StreamConfig, Strudel, StrudelError,
+    LimitKind, Limits, StageTimings, StreamClassifier, StreamConfig, Strudel, StrudelError,
 };
 
 /// Configuration of a [`Server`].
@@ -251,7 +252,7 @@ impl Server {
             max_requests_per_conn: config.max_requests_per_conn.max(1),
             shutdown: AtomicBool::new(false),
             addr,
-            inner_threads: if n_shards > 1 { 1 } else { 0 },
+            inner_threads: inference_threads(n_shards),
             io_timeout: config.io_timeout,
             stream: config.stream.clone(),
         });
@@ -879,20 +880,6 @@ fn compact_json(pretty: &str) -> String {
     pretty.lines().map(str::trim_start).collect()
 }
 
-/// The dialect object of the canonical structure JSON, one-lined.
-fn dialect_json(dialect: &Dialect) -> String {
-    let char_field = |c: Option<char>| match c {
-        Some(c) => json_escape(&c.to_string()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"delimiter\": {}, \"quote\": {}, \"escape\": {}}}",
-        json_escape(&dialect.delimiter.to_string()),
-        char_field(dialect.quote),
-        char_field(dialect.escape),
-    )
-}
-
 /// `POST /admin/reload`: load and validate a model file, then swap it in
 /// atomically. Any failure leaves the serving model untouched.
 fn reload(shared: &Shared, body: &[u8]) -> Response {
@@ -935,7 +922,7 @@ fn reload(shared: &Shared, body: &[u8]) -> Response {
                 200,
                 format!(
                     "{{\"reloaded\": true, \"model\": {}}}\n",
-                    json_escape(&path.display().to_string())
+                    json_string(&path.display().to_string())
                 ),
             )
         }
@@ -981,34 +968,14 @@ fn error_response(error: &StrudelError) -> Response {
 pub(crate) fn error_body(message: &str, category: &str, limit: Option<&str>) -> String {
     let mut body = format!(
         "{{\"error\": {}, \"category\": {}",
-        json_escape(message),
-        json_escape(category)
+        json_string(message),
+        json_string(category)
     );
     if let Some(limit) = limit {
-        body.push_str(&format!(", \"limit\": {}", json_escape(limit)));
+        body.push_str(&format!(", \"limit\": {}", json_string(limit)));
     }
     body.push_str("}\n");
     body
-}
-
-/// Escape a string as a JSON string literal (local copy of the core
-/// helper, which is crate-private there).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
