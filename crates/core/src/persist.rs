@@ -53,8 +53,9 @@ fn model_error(e: io::Error) -> StrudelError {
 }
 
 /// Reject a deserialized forest whose shape does not match the pipeline
-/// stage it is about to serve. `from_raw_parts` already validates the
-/// internal tree structure; this checks the *external* contract — the
+/// stage it is about to serve. `RandomForest::read_from` already
+/// validates the internal tree structure (pre-order children, leaf
+/// arity, `u32` indices); this checks the *external* contract — the
 /// class count must be [`ElementClass::COUNT`] (class indices are mapped
 /// back through `ElementClass::from_index`, which panics out of range)
 /// and every split's feature index must be addressable in the feature
@@ -222,6 +223,11 @@ mod tests {
             assert_eq!(ca.class, cb.class);
             assert_eq!(ca.probs, cb.probs);
         }
+
+        // Load → save writes the model file back byte for byte.
+        let mut again = Vec::new();
+        loaded.write_to(&mut again).unwrap();
+        assert_eq!(again, buf);
     }
 
     #[test]
@@ -350,6 +356,37 @@ mod tests {
         let err = expect_err(StrudelLine::read_from(&mut r));
         assert_eq!(err.category(), "model");
         assert!(err.to_string().contains("feature index 999"), "got: {err}");
+    }
+
+    #[test]
+    fn back_edge_rejected() {
+        // A one-split tree whose left child is the split itself: walking
+        // it would never reach a leaf for inputs that go left. The file
+        // is written by hand, since no constructor accepts such a tree.
+        let mut buf = Vec::new();
+        let mut w = ModelWriter::new(&mut buf).unwrap();
+        write_derived(&mut w, &DerivedConfig::default()).unwrap();
+        w.bool(false).unwrap();
+        w.usize(ElementClass::COUNT).unwrap();
+        w.usize(1).unwrap();
+        w.usize(ElementClass::COUNT).unwrap();
+        w.usize(3).unwrap();
+        w.bool(false).unwrap();
+        w.usize(0).unwrap();
+        w.f64(0.5).unwrap();
+        w.usize(0).unwrap();
+        w.usize(2).unwrap();
+        for _ in 0..2 {
+            w.bool(true).unwrap();
+            w.f64_slice(&[1.0 / ElementClass::COUNT as f64; ElementClass::COUNT])
+                .unwrap();
+        }
+        w.finish().flush().unwrap();
+
+        let mut r = ModelReader::new(buf.as_slice()).unwrap();
+        let err = expect_err(StrudelLine::read_from(&mut r));
+        assert_eq!(err.category(), "model");
+        assert!(err.to_string().contains("pre-order"), "got: {err}");
     }
 
     #[test]

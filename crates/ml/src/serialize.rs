@@ -7,8 +7,7 @@
 //! external serialization dependency — with a magic header and version
 //! byte for forward compatibility.
 
-use crate::forest::RandomForest;
-use crate::tree::DecisionTree;
+use crate::forest::{FlatNode, ForestBuilder, RandomForest};
 use std::io::{self, Read, Write};
 
 /// Magic bytes opening every serialized model.
@@ -140,85 +139,76 @@ impl<R: Read> ModelReader<R> {
     }
 }
 
-impl DecisionTree {
-    /// Serialize the tree body (no header).
-    pub fn write_to<W: Write>(&self, w: &mut ModelWriter<W>) -> io::Result<()> {
-        let (nodes, n_classes) = self.raw_parts();
-        w.usize(n_classes)?;
-        w.usize(nodes.len())?;
-        for node in nodes {
-            match node {
-                crate::tree::RawNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    w.bool(false)?;
-                    w.usize(*feature)?;
-                    w.f64(*threshold)?;
-                    w.usize(*left)?;
-                    w.usize(*right)?;
-                }
-                crate::tree::RawNode::Leaf { proba } => {
-                    w.bool(true)?;
-                    w.f64_slice(proba)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Deserialize a tree body written by [`DecisionTree::write_to`].
-    pub fn read_from<R: Read>(r: &mut ModelReader<R>) -> io::Result<DecisionTree> {
-        let n_classes = r.usize_bounded(1 << 16)?;
-        let n_nodes = r.usize_bounded(1 << 28)?;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let is_leaf = r.bool()?;
-            if is_leaf {
-                let proba = r.f64_vec()?;
-                if proba.len() != n_classes {
-                    return Err(bad("leaf probability arity mismatch"));
-                }
-                nodes.push(crate::tree::RawNode::Leaf { proba });
-            } else {
-                let feature = r.usize()?;
-                let threshold = r.f64()?;
-                let left = r.usize_bounded(n_nodes)?;
-                let right = r.usize_bounded(n_nodes)?;
-                nodes.push(crate::tree::RawNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                });
-            }
-        }
-        DecisionTree::from_raw_parts(nodes, n_classes).map_err(bad)
-    }
-}
-
 impl RandomForest {
-    /// Serialize the forest body (no header).
+    /// Serialize the forest body (no header): the class count, the tree
+    /// count, then each tree as its class count, node count and nodes in
+    /// pre-order, with child indices local to the tree.
     pub fn write_to<W: Write>(&self, w: &mut ModelWriter<W>) -> io::Result<()> {
-        w.usize(self.n_classes_raw())?;
-        w.usize(self.trees_raw().len())?;
-        for tree in self.trees_raw() {
-            tree.write_to(w)?;
+        let n_classes = self.n_classes_raw();
+        w.usize(n_classes)?;
+        w.usize(self.n_trees())?;
+        for t in 0..self.n_trees() {
+            let (root, end) = self.tree_span(t);
+            w.usize(n_classes)?;
+            w.usize(end - root)?;
+            for node in root..end {
+                match self.node(node) {
+                    FlatNode::Split {
+                        feature,
+                        threshold,
+                        right,
+                    } => {
+                        w.bool(false)?;
+                        w.usize(feature)?;
+                        w.f64(threshold)?;
+                        w.usize(node + 1 - root)?;
+                        w.usize(right - root)?;
+                    }
+                    FlatNode::Leaf(values) => {
+                        w.bool(true)?;
+                        w.f64_slice(values)?;
+                    }
+                }
+            }
         }
         Ok(())
     }
 
-    /// Deserialize a forest body written by [`RandomForest::write_to`].
+    /// Deserialize a forest body written by [`RandomForest::write_to`],
+    /// straight into the flat arrays. Rejects (as `InvalidData`) trees
+    /// that are not in pre-order, leaves of the wrong arity, and
+    /// indices too large for the arrays' `u32` fields.
     pub fn read_from<R: Read>(r: &mut ModelReader<R>) -> io::Result<RandomForest> {
         let n_classes = r.usize_bounded(1 << 16)?;
         let n_trees = r.usize_bounded(1 << 20)?;
-        let mut trees = Vec::with_capacity(n_trees);
+        let mut forest = ForestBuilder::new(n_classes).map_err(bad)?;
+        let mut values = Vec::with_capacity(n_classes);
         for _ in 0..n_trees {
-            trees.push(DecisionTree::read_from(r)?);
+            if r.usize_bounded(1 << 16)? != n_classes {
+                return Err(bad("tree class-count mismatch"));
+            }
+            let n_nodes = r.usize_bounded(1 << 28)?;
+            forest.begin_tree(n_nodes).map_err(bad)?;
+            for _ in 0..n_nodes {
+                if r.bool()? {
+                    if r.usize_bounded(1 << 28)? != n_classes {
+                        return Err(bad("leaf probability arity mismatch"));
+                    }
+                    values.clear();
+                    for _ in 0..n_classes {
+                        values.push(r.f64()?);
+                    }
+                    forest.leaf(&values).map_err(bad)?;
+                } else {
+                    let feature = r.usize()?;
+                    let threshold = r.f64()?;
+                    let left = r.usize()?;
+                    let right = r.usize()?;
+                    forest.split(feature, threshold, left, right).map_err(bad)?;
+                }
+            }
         }
-        RandomForest::from_raw_parts(trees, n_classes).map_err(bad)
+        forest.finish().map_err(bad)
     }
 }
 
@@ -260,6 +250,62 @@ mod tests {
                 loaded.predict_proba(data.row(i)),
                 forest.predict_proba(data.row(i))
             );
+        }
+        // Load → save writes the same bytes back.
+        let mut again = Vec::new();
+        let mut w = ModelWriter::new(&mut again).unwrap();
+        loaded.write_to(&mut w).unwrap();
+        assert_eq!(again, buf);
+    }
+
+    /// A forest body of one three-node tree: a split on `feature` with
+    /// children `left` and `right`, then two leaves.
+    fn one_split_forest(feature: u64, left: u64, right: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = ModelWriter::new(&mut buf).unwrap();
+        w.usize(2).unwrap();
+        w.usize(1).unwrap();
+        w.usize(2).unwrap();
+        w.usize(3).unwrap();
+        w.bool(false).unwrap();
+        w.u64(feature).unwrap();
+        w.f64(0.5).unwrap();
+        w.u64(left).unwrap();
+        w.u64(right).unwrap();
+        for _ in 0..2 {
+            w.bool(true).unwrap();
+            w.f64_slice(&[0.5, 0.5]).unwrap();
+        }
+        buf
+    }
+
+    fn load(buf: &[u8]) -> io::Result<RandomForest> {
+        RandomForest::read_from(&mut ModelReader::new(buf).unwrap())
+    }
+
+    #[test]
+    fn malformed_splits_rejected_at_load() {
+        assert!(load(&one_split_forest(0, 1, 2)).is_ok());
+        assert!(load(&one_split_forest(u64::from(u32::MAX) - 1, 1, 2)).is_ok());
+        // Children out of pre-order (a back edge, a self loop, swapped
+        // or out-of-tree children), then feature indices that do not
+        // fit a u32 or collide with the leaf marker.
+        let cases = [
+            (0, 0, 2),
+            (0, 1, 0),
+            (0, 1, 1),
+            (0, 2, 1),
+            (0, 1, 3),
+            (u64::from(u32::MAX), 1, 2),
+            (1 << 32, 1, 2),
+            (u64::MAX, 1, 2),
+        ];
+        for (feature, left, right) in cases {
+            let err = match load(&one_split_forest(feature, left, right)) {
+                Err(e) => e,
+                Ok(_) => panic!("accepted feature {feature}, children {left}, {right}"),
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
     }
 

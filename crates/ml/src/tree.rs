@@ -68,7 +68,8 @@ impl Default for TreeConfig {
     }
 }
 
-/// A tree node in storage form, exposed for serialization.
+/// A tree node in storage form: what a forest flattens into its arrays
+/// and what [`DecisionTree::from_raw_parts`] rebuilds a tree from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RawNode {
     /// An internal split: go left when `features[feature] <= threshold`.
@@ -103,7 +104,7 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Storage view for serialization: `(nodes, n_classes)`.
+    /// Storage view: `(nodes, n_classes)`, nodes in pre-order.
     pub fn raw_parts(&self) -> (&[RawNode], usize) {
         (&self.nodes, self.n_classes)
     }
@@ -123,8 +124,8 @@ impl DecisionTree {
         Some(self.impurity_decrease.iter().map(|v| v / total).collect())
     }
 
-    /// Rebuild a tree from storage form, validating node references and
-    /// leaf arity.
+    /// Rebuild a tree from storage form, validating that it is in
+    /// pre-order (see [`check_children`]) and the leaf arity.
     pub fn from_raw_parts(
         nodes: Vec<RawNode>,
         n_classes: usize,
@@ -133,12 +134,10 @@ impl DecisionTree {
             return Err("a tree needs at least one node");
         }
         // (importances are training-time statistics; rebuilt trees have none)
-        for node in &nodes {
+        for (at, node) in nodes.iter().enumerate() {
             match node {
                 RawNode::Split { left, right, .. } => {
-                    if *left >= nodes.len() || *right >= nodes.len() {
-                        return Err("child index out of range");
-                    }
+                    check_children(at, *left, *right, nodes.len())?;
                 }
                 RawNode::Leaf { proba } => {
                     if proba.len() != n_classes {
@@ -154,6 +153,23 @@ impl DecisionTree {
             root_samples: 0,
         })
     }
+}
+
+/// Check that the split at node `at` of an `n_nodes`-node tree has its
+/// children in pre-order: the left child is the next node and the right
+/// child comes after it, inside the tree. Both splitters write trees
+/// this way; requiring it on every load path means every walk moves
+/// forward and ends within `n_nodes` steps, whatever a model file says.
+pub(crate) fn check_children(
+    at: usize,
+    left: usize,
+    right: usize,
+    n_nodes: usize,
+) -> Result<(), &'static str> {
+    if left != at + 1 || right <= left || right >= n_nodes {
+        return Err("tree nodes are not in pre-order");
+    }
+    Ok(())
 }
 
 /// Node size at and below which the splitter stops maintaining the
@@ -1028,6 +1044,31 @@ mod tests {
         let (nodes, n_classes) = tree.raw_parts();
         let rebuilt = DecisionTree::from_raw_parts(nodes.to_vec(), n_classes).unwrap();
         assert!(rebuilt.impurity_importances().is_none());
+    }
+
+    #[test]
+    fn back_edge_rejected() {
+        // A split whose left child is itself would send every input that
+        // goes left round the same node forever.
+        let leaf = RawNode::Leaf {
+            proba: vec![0.5, 0.5],
+        };
+        let split = |left, right| RawNode::Split {
+            feature: 0,
+            threshold: 0.5,
+            left,
+            right,
+        };
+        for (left, right) in [(0, 2), (1, 0), (1, 1), (2, 1), (1, 3)] {
+            let nodes = vec![split(left, right), leaf.clone(), leaf.clone()];
+            assert_eq!(
+                DecisionTree::from_raw_parts(nodes, 2).err(),
+                Some("tree nodes are not in pre-order"),
+                "left {left}, right {right}"
+            );
+        }
+        let nodes = vec![split(1, 2), leaf.clone(), leaf];
+        assert!(DecisionTree::from_raw_parts(nodes, 2).is_ok());
     }
 
     #[test]

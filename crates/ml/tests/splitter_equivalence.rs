@@ -9,7 +9,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use strudel_ml::{
-    Classifier, Dataset, DecisionTree, ForestConfig, MaxFeatures, RandomForest, TreeConfig,
+    Classifier, Dataset, DecisionTree, ForestConfig, MaxFeatures, ModelWriter, RandomForest,
+    TreeConfig,
 };
 
 /// A random dataset drawing values from a small pool, so runs of
@@ -26,6 +27,15 @@ fn random_dataset(seed: u64, n: usize, n_features: usize, n_classes: usize, pool
         .collect();
     let y: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n_classes)).collect();
     Dataset::from_rows(&rows, &y, n_classes)
+}
+
+/// The forest's serialized bytes: every tree's nodes, thresholds and
+/// leaf distributions, in tree order.
+fn model_bytes(forest: &RandomForest) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = ModelWriter::new(&mut buf).unwrap();
+    forest.write_to(&mut w).unwrap();
+    buf
 }
 
 /// A random tree configuration covering depth limits, split/leaf
@@ -89,9 +99,7 @@ proptest! {
         };
         let fast = RandomForest::fit(&ds, &config);
         let slow = RandomForest::fit_reference(&ds, &config);
-        for (a, b) in fast.trees_raw().iter().zip(slow.trees_raw()) {
-            prop_assert_eq!(a.raw_parts().0, b.raw_parts().0);
-        }
+        prop_assert_eq!(model_bytes(&fast), model_bytes(&slow));
         for i in 0..ds.n_samples() {
             prop_assert_eq!(fast.predict_proba(ds.row(i)), slow.predict_proba(ds.row(i)));
         }
@@ -135,9 +143,7 @@ fn large_continuous_dataset_equivalence() {
         };
         let fast = RandomForest::fit(&ds, &config);
         let slow = RandomForest::fit_reference(&ds, &config);
-        for (a, b) in fast.trees_raw().iter().zip(slow.trees_raw()) {
-            assert_eq!(a.raw_parts().0, b.raw_parts().0);
-        }
+        assert_eq!(model_bytes(&fast), model_bytes(&slow));
         for i in 0..ds.n_samples() {
             assert_eq!(fast.predict_proba(ds.row(i)), slow.predict_proba(ds.row(i)));
         }
