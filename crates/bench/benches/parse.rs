@@ -30,7 +30,7 @@
 //!
 //! * **classify** — the full detection pipeline on a fitted model, two
 //!   ways: the retained owned path (detect dialect, parse to owned
-//!   `Table`, classify) vs the borrowed path (`try_detect_structure`:
+//!   `Table`, classify) vs the borrowed path (`detect_structure`:
 //!   zero-copy scan, classification over borrowed cells, owned
 //!   materialisation deferred to the end). Their ratio is the
 //!   `pipeline_speedup` headline.
@@ -50,7 +50,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
-use strudel::{Limits, Strudel, StrudelCellConfig, StrudelLineConfig};
+use strudel::{Strudel, StrudelCellConfig, StrudelLineConfig};
 use strudel_datagen::{saus, GeneratorConfig};
 use strudel_dialect::legacy::parse_legacy;
 use strudel_dialect::{detect_dialect, parse, scan_records, Dialect};
@@ -294,15 +294,11 @@ fn detect_owned_path(model: &Strudel, text: &str) -> usize {
     model.detect_structure_of_table(table, dialect).lines.len()
 }
 
-/// The borrowed path: `try_detect_structure` scans zero-copy, extracts
+/// The borrowed path: `detect_structure` scans zero-copy, extracts
 /// features over borrowed field spans, and materialises owned cells
 /// only for the final `Structure`.
 fn detect_borrowed_path(model: &Strudel, text: &str) -> usize {
-    model
-        .try_detect_structure(text, &Limits::unbounded())
-        .expect("unbounded detection succeeds")
-        .lines
-        .len()
+    model.detect_structure(text).lines.len()
 }
 
 fn measure_classify(model: &Strudel, text: &str, iters: usize) -> ClassifyMeasurement {

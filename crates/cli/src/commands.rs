@@ -3,7 +3,8 @@
 use crate::args::Options;
 use crate::{existing, fast_config, model_from, print_evaluation, CliError};
 use std::fs;
-use strudel::{repair_cells, RepairConfig, Strudel};
+use std::path::Path;
+use strudel::{repair_cells, RepairConfig, Structure, Strudel};
 
 /// `strudel synth --dataset NAME --out DIR [--files N --seed K --scale S]`
 pub fn synth(options: &Options) -> Result<(), CliError> {
@@ -64,6 +65,19 @@ pub fn train(options: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Read one input file as bytes and run the guarded pipeline on it
+/// under the `--max-*` limits: the shared front half of `detect`,
+/// `extract` and `segments`. Errors carry the file name.
+fn detect_file(options: &Options, input: &Path) -> Result<Structure, CliError> {
+    let input = existing(input, "input file")?;
+    let name = input.display().to_string();
+    let bytes = fs::read(&input).map_err(|e| strudel::StrudelError::io(&e, Some(&name)))?;
+    let model = model_from(options)?;
+    model
+        .try_detect_structure_bytes(&bytes, &options.limits())
+        .map_err(|e| e.with_file(name).into())
+}
+
 /// `strudel detect [--model MODEL] FILE [--cells]`
 pub fn detect(options: &Options) -> Result<(), CliError> {
     if options.stream {
@@ -73,13 +87,7 @@ pub fn detect(options: &Options) -> Result<(), CliError> {
         .inputs
         .first()
         .ok_or("detect requires an input FILE")?;
-    let input = existing(input, "input file")?;
-    let bytes = fs::read(&input)
-        .map_err(|e| strudel::StrudelError::io(&e, Some(&input.display().to_string())))?;
-    let model = model_from(options)?;
-    let mut structure = model
-        .try_detect_structure_bytes(&bytes, &options.limits())
-        .map_err(|e| e.with_file(input.display().to_string()))?;
+    let mut structure = detect_file(options, input)?;
     if options.repair {
         let report = repair_cells(
             &structure.table,
@@ -224,10 +232,7 @@ pub fn extract(options: &Options) -> Result<(), CliError> {
         .inputs
         .first()
         .ok_or("extract requires an input FILE")?;
-    let input = existing(input, "input file")?;
-    let text = fs::read_to_string(&input).map_err(|e| e.to_string())?;
-    let model = model_from(options)?;
-    let structure = model.detect_structure(&text);
+    let structure = detect_file(options, input)?;
 
     let render_row = |row: &[String]| {
         row.iter()
@@ -266,10 +271,7 @@ pub fn segments(options: &Options) -> Result<(), CliError> {
         .inputs
         .first()
         .ok_or("segments requires an input FILE")?;
-    let input = existing(input, "input file")?;
-    let text = fs::read_to_string(&input).map_err(|e| e.to_string())?;
-    let model = model_from(options)?;
-    let structure = model.detect_structure(&text);
+    let structure = detect_file(options, input)?;
     let regions = structure.tables();
     println!("{} table region(s)", regions.len());
     for (i, region) in regions.iter().enumerate() {

@@ -184,7 +184,7 @@ LOAD TESTING:
   measured from the scheduled arrival (open-loop), so server queueing
   shows up in p99 instead of being absorbed by client backoff.
 
-LIMITS (detect, batch, and serve):
+LIMITS (detect, extract, segments, batch, and serve):
   --max-bytes N     per-file input size limit       [default 256 MiB]
   --max-rows N      parsed row limit                [default 4194304]
   --max-cells N     padded-grid cell limit          [default 67108864]

@@ -997,3 +997,41 @@ fn segments_command_reports_regions() {
     assert!(stdout.contains("region 0:"));
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn extract_and_segments_take_the_guarded_bytes_path() {
+    let dir = temp_dir("guarded");
+    let model = train_tiny_model(&dir);
+    // Latin-1 "München": byte 10 is the first one that is not UTF-8.
+    let latin1 = dir.join("latin1.csv");
+    fs::write(&latin1, b"Gemeinde,M\xfcnchen\nK\xf6ln,1084000\n").unwrap();
+    let probe = dir.join("probe.csv");
+    fs::write(&probe, "State,2019,2020\nBerlin,14,28\nHamburg,15,29\n").unwrap();
+    let run = |command: &str, extra: &[&str], input: &Path| {
+        bin()
+            .arg(command)
+            .args(extra)
+            .arg("--model")
+            .arg(&model)
+            .arg(input)
+            .output()
+            .unwrap()
+    };
+    for command in ["detect", "extract", "segments"] {
+        // Undecodable input: a typed parse error naming the file and the
+        // offending offset, exit code 3.
+        let out = run(command, &[], &latin1);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{command}: {stderr}");
+        assert!(stderr.contains("latin1.csv"), "{command}: {stderr}");
+        assert!(stderr.contains("byte 10"), "{command}: {stderr}");
+        // The byte cap holds on valid input, and applies before decoding.
+        for input in [&probe, &latin1] {
+            let out = run(command, &["--max-bytes", "10"], input);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(6), "{command}: {stderr}");
+            assert!(stderr.contains("input_bytes"), "{command}: {stderr}");
+        }
+    }
+    fs::remove_dir_all(&dir).ok();
+}

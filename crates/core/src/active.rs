@@ -10,6 +10,7 @@
 //! probability vectors — and the `ablation_active_learning` experiment
 //! simulates the loop against random selection.
 
+use crate::analysis::TableAnalysis;
 use crate::line_classifier::StrudelLine;
 use strudel_table::{ElementClass, Table};
 
@@ -33,7 +34,8 @@ pub fn normalized_entropy(probs: &[f64]) -> f64 {
 /// normalised entropy over its non-empty lines (0 when the file has
 /// none).
 pub fn file_uncertainty(model: &StrudelLine, table: &Table) -> f64 {
-    let probs = model.predict_probs(table);
+    let analysis = TableAnalysis::compute(table, model.feature_config().derived);
+    let probs = model.predict_probs_view(table.view(), &analysis, 0);
     let mut sum = 0.0;
     let mut n = 0usize;
     for (r, p) in probs.iter().enumerate() {

@@ -8,8 +8,9 @@
 //! the leading `group` cell of a `derived` line, or the few `derived`
 //! cells of a derived *column* sitting inside `data` lines.
 
+use crate::analysis::TableAnalysis;
 use crate::cell_classifier::CellPrediction;
-use crate::line_classifier::{StrudelLine, StrudelLineConfig};
+use crate::line_classifier::{line_classes, StrudelLine, StrudelLineConfig};
 use strudel_table::{LabeledFile, Table};
 
 /// The `Line^C` baseline: a fitted `Strudel^L` whose line predictions are
@@ -33,8 +34,10 @@ impl LineCell {
 
     /// Classify every non-empty cell by its line's predicted class.
     pub fn predict(&self, table: &Table) -> Vec<CellPrediction> {
-        let probs = self.line_model.predict_probs(table);
-        let lines = self.line_model.predict(table);
+        let grid = table.view();
+        let analysis = TableAnalysis::compute(table, self.line_model.feature_config().derived);
+        let probs = self.line_model.predict_probs_view(grid, &analysis, 0);
+        let lines = line_classes(grid, &probs);
         let mut out = Vec::new();
         for r in 0..table.n_rows() {
             let Some(class) = lines[r] else { continue };

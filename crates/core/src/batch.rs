@@ -234,9 +234,9 @@ impl BatchReport {
 /// Throughput as events per second: `count / elapsed`, with a guarded
 /// zero — an empty or instantaneous run reports `0.0` rather than an
 /// infinity or NaN. The shared helper behind
-/// [`BatchReport::files_per_second`] / [`bytes_per_second`]
-/// (BatchReport::bytes_per_second) and the `strudel serve` `/metrics`
-/// throughput gauges.
+/// [`BatchReport::files_per_second`] /
+/// [`bytes_per_second`](BatchReport::bytes_per_second) and the
+/// `strudel serve` `/metrics` throughput gauges.
 pub fn rate(count: f64, elapsed: Duration) -> f64 {
     let secs = elapsed.as_secs_f64();
     if secs <= 0.0 || count <= 0.0 {
@@ -573,12 +573,11 @@ fn run_one(
         BatchInput::Text { text, .. } => text.as_bytes(),
     };
 
-    // The per-file wall-clock budget starts once the bytes are in
-    // memory; it is polled at stage boundaries and inside the parser.
-    let deadline = limits.start_deadline();
+    // The same guarded bytes path as `strudel detect`: the byte cap
+    // before UTF-8 decoding, and the per-file wall-clock budget started
+    // once the text is decoded.
     let detected = catch_unwind(AssertUnwindSafe(|| {
-        let text = strudel_dialect::decode_utf8(bytes)?;
-        model.try_detect_structure_guarded(text, limits, deadline, inner_threads, timings)
+        model.try_detect_structure_bytes_metered(bytes, limits, inner_threads, timings)
     }));
     match detected {
         Ok(Ok(structure)) => {
@@ -722,6 +721,33 @@ mod tests {
         assert!(result.report.outcomes[0].is_ok());
         assert!(!result.report.outcomes[1].is_ok());
         assert_eq!(result.report.outcomes[1].id, inputs[1].id());
+    }
+
+    #[test]
+    fn byte_cap_applies_before_utf8_decoding() {
+        // A latin-1 file over the byte cap is a limit error, as in
+        // `strudel detect` and `strudel serve`, not a decode error.
+        let model = fitted();
+        let dir = std::env::temp_dir().join(format!("strudel-batch-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let latin1 = dir.join("latin1.csv");
+        std::fs::write(&latin1, b"Gemeinde,M\xfcnchen\nK\xf6ln,1084000\n").unwrap();
+        let limits = Limits {
+            max_input_bytes: Some(10),
+            ..Limits::standard()
+        };
+        let result = detect_all(
+            &model,
+            &[BatchInput::path(&latin1)],
+            &BatchConfig {
+                n_threads: 1,
+                limits,
+            },
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        let error = result.structures[0].as_ref().unwrap_err();
+        assert_eq!(error.category(), "limit", "{error}");
+        assert_eq!(result.report.outcomes[0].category, Some("limit"));
     }
 
     #[test]

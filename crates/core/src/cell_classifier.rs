@@ -8,9 +8,7 @@
 //! cell of a derived line).
 
 use crate::analysis::{compute_analyses, TableAnalysis};
-use crate::cell_features::{
-    extract_cell_features_view, extract_cell_features_with, CellFeatureConfig, N_CELL_FEATURES,
-};
+use crate::cell_features::{extract_cell_features_view, CellFeatureConfig, N_CELL_FEATURES};
 use crate::line_classifier::{StrudelLine, StrudelLineConfig};
 use strudel_ml::{Dataset, ForestConfig, RandomForest};
 use strudel_table::{CellView, ElementClass, GridView, LabeledFile, Table};
@@ -110,8 +108,9 @@ impl StrudelCell {
     ) -> Dataset {
         let mut dataset = Dataset::new(N_CELL_FEATURES, ElementClass::COUNT);
         for (file, analysis) in files.iter().zip(analyses) {
-            let probs = line_model.predict_probs_with_analysis(&file.table, analysis, 0);
-            for cf in extract_cell_features_with(&file.table, &probs, features, analysis) {
+            let grid = file.table.view();
+            let probs = line_model.predict_probs_view(grid, analysis, 0);
+            for cf in extract_cell_features_view(grid, &probs, features, analysis) {
                 if let Some(label) = file.cell_labels[cf.row][cf.col] {
                     dataset.push(&cf.features, label.index());
                 }
@@ -123,46 +122,21 @@ impl StrudelCell {
     /// Classify every non-empty cell of a table.
     pub fn predict(&self, table: &Table) -> Vec<CellPrediction> {
         let analysis = TableAnalysis::compute(table, self.line_model.feature_config().derived);
-        let probs = self
-            .line_model
-            .predict_probs_with_analysis(table, &analysis, 0);
-        self.predict_with_probs_analysed(table, &probs, 0, &analysis)
+        let grid = table.view();
+        let probs = self.line_model.predict_probs_view(grid, &analysis, 0);
+        self.predict_with_probs_view(grid, &probs, 0, &analysis)
     }
 
-    /// Classify every non-empty cell given precomputed line probability
-    /// vectors (one per row), walking the forest across `n_threads`
-    /// worker threads (`0` = available parallelism, `1` = serial).
+    /// Classify every non-empty cell of a cell grid given precomputed
+    /// line probability vectors (one per row) and a precomputed
+    /// [`TableAnalysis`], walking the forest across `n_threads` worker
+    /// threads (`0` = available parallelism, `1` = serial).
     ///
-    /// The pipeline computes the line probabilities once and shares them
-    /// between the line and cell stages; results are identical to
-    /// [`predict`](Self::predict) for every thread count.
-    pub fn predict_with_probs(
-        &self,
-        table: &Table,
-        line_probs: &[Vec<f64>],
-        n_threads: usize,
-    ) -> Vec<CellPrediction> {
-        let analysis = TableAnalysis::compute(table, self.features.derived);
-        self.predict_with_probs_analysed(table, line_probs, n_threads, &analysis)
-    }
-
-    /// [`predict_with_probs`](Self::predict_with_probs) reusing a
-    /// precomputed [`TableAnalysis`] (the pipeline computes one per
-    /// table and shares it across the line and cell stages).
-    pub fn predict_with_probs_analysed(
-        &self,
-        table: &Table,
-        line_probs: &[Vec<f64>],
-        n_threads: usize,
-        analysis: &TableAnalysis,
-    ) -> Vec<CellPrediction> {
-        self.predict_with_probs_view(table.view(), line_probs, n_threads, analysis)
-    }
-
-    /// [`predict_with_probs_analysed`](Self::predict_with_probs_analysed)
-    /// over any cell grid: the zero-copy detection path classifies the
-    /// borrowed grid directly, with predictions identical to the
-    /// owned-table entry points.
+    /// The pipeline computes the analysis and the line probabilities
+    /// once and shares them between the line and cell stages; the
+    /// zero-copy detection path classifies the borrowed grid directly.
+    /// Results are identical to [`predict`](Self::predict) for every
+    /// thread count and grid type.
     pub fn predict_with_probs_view<C: CellView>(
         &self,
         table: GridView<'_, C>,

@@ -110,28 +110,14 @@ pub fn extract_cell_features(
     config: &CellFeatureConfig,
 ) -> Vec<CellFeatures> {
     let analysis = TableAnalysis::compute(table, config.derived);
-    extract_cell_features_with(table, line_probs, config, &analysis)
+    extract_cell_features_view(table.view(), line_probs, config, &analysis)
 }
 
-/// [`extract_cell_features`] reusing a precomputed [`TableAnalysis`], so
-/// one derived-cell detection per file serves the line, cell, and column
-/// extractors (the mask is recomputed if `analysis` was built for a
-/// different [`DerivedConfig`]).
-///
-/// # Panics
-/// Panics when `line_probs` does not have one entry of length
-/// [`ElementClass::COUNT`] per table row.
-pub fn extract_cell_features_with(
-    table: &Table,
-    line_probs: &[Vec<f64>],
-    config: &CellFeatureConfig,
-    analysis: &TableAnalysis,
-) -> Vec<CellFeatures> {
-    extract_cell_features_view(table.view(), line_probs, config, analysis)
-}
-
-/// [`extract_cell_features_with`] over any cell grid — owned tables
-/// (training, compatibility API) and the borrowed grids of the
+/// [`extract_cell_features`] over any cell grid, reusing a precomputed
+/// [`TableAnalysis`] so one derived-cell detection per file serves the
+/// line, cell, and column extractors (the mask is recomputed if
+/// `analysis` was built for a different [`DerivedConfig`]). Owned
+/// tables (training, compatibility API) and the borrowed grids of the
 /// zero-copy detection path produce byte-identical feature vectors.
 ///
 /// # Panics

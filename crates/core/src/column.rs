@@ -12,7 +12,7 @@
 
 use crate::analysis::{compute_analyses, TableAnalysis};
 use crate::cell_classifier::{CellPrediction, StrudelCell, StrudelCellConfig};
-use crate::cell_features::{extract_cell_features_with, CellFeatureConfig, N_CELL_FEATURES};
+use crate::cell_features::{extract_cell_features_view, CellFeatureConfig, N_CELL_FEATURES};
 use crate::derived::DerivedConfig;
 use crate::keywords::has_aggregation_keyword;
 use crate::line_classifier::StrudelLine;
@@ -276,9 +276,10 @@ impl ColumnBoostedCell {
     ) -> Dataset {
         let mut dataset = Dataset::new(Self::N_FEATURES, ElementClass::COUNT);
         for (file, analysis) in files.iter().zip(analyses) {
-            let line_probs = line_model.predict_probs_with_analysis(&file.table, analysis, 0);
+            let grid = file.table.view();
+            let line_probs = line_model.predict_probs_view(grid, analysis, 0);
             let col_probs = column_model.predict_probs_with_analysis(&file.table, analysis);
-            for cf in extract_cell_features_with(&file.table, &line_probs, features, analysis) {
+            for cf in extract_cell_features_view(grid, &line_probs, features, analysis) {
                 if let Some(label) = file.cell_labels[cf.row][cf.col] {
                     let mut row = cf.features;
                     row.extend_from_slice(&col_probs[cf.col]);
@@ -292,13 +293,12 @@ impl ColumnBoostedCell {
     /// Classify every non-empty cell.
     pub fn predict(&self, table: &Table) -> Vec<CellPrediction> {
         let analysis = TableAnalysis::compute(table, self.line_model.feature_config().derived);
-        let line_probs = self
-            .line_model
-            .predict_probs_with_analysis(table, &analysis, 0);
+        let grid = table.view();
+        let line_probs = self.line_model.predict_probs_view(grid, &analysis, 0);
         let col_probs = self
             .column_model
             .predict_probs_with_analysis(table, &analysis);
-        extract_cell_features_with(table, &line_probs, &self.features, &analysis)
+        extract_cell_features_view(grid, &line_probs, &self.features, &analysis)
             .into_iter()
             .map(|cf| {
                 let mut row = cf.features;

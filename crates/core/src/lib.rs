@@ -19,7 +19,7 @@
 //! - every baseline of the paper's evaluation ([`baselines`]):
 //!   `CRF^L`, `Pytheas^L`, `Line^C`, and the `RNN^C` stand-in;
 //! - worker-pool batch inference over many files ([`batch`]) with
-//!   per-stage wall-clock instrumentation ([`Metrics`], [`StageTimings`]).
+//!   per-stage wall-clock instrumentation ([`StageTimings`]).
 //!
 //! ```
 //! use strudel::{Strudel, StrudelCellConfig, StrudelLineConfig};
@@ -85,7 +85,7 @@ pub use line_features::{
     extract_line_features, extract_line_features_view, LineFeatureConfig, GLOBAL_FEATURE_NAMES,
     LINE_FEATURE_NAMES,
 };
-pub use metrics::{Metrics, NullMetrics, Stage, StageTimer, StageTimings};
+pub use metrics::{Stage, StageTimer, StageTimings};
 pub use pipeline::{Structure, Strudel, TableRegion};
 pub use postprocess::{repair_cells, RepairConfig, RepairReport};
 pub use stream::{

@@ -6,11 +6,8 @@
 //! `Strudel^C` (Section 5.4).
 
 use crate::analysis::{compute_analyses, TableAnalysis};
-use crate::line_features::{
-    extract_line_features, extract_line_features_view, extract_line_features_with,
-    LineFeatureConfig,
-};
-use strudel_ml::{Classifier, Dataset, ForestConfig, RandomForest};
+use crate::line_features::{extract_line_features_view, LineFeatureConfig};
+use strudel_ml::{Dataset, ForestConfig, RandomForest};
 use strudel_table::{CellView, ElementClass, GridView, LabeledFile, Table};
 
 /// Configuration of `Strudel^L`.
@@ -77,7 +74,7 @@ impl StrudelLine {
     ) -> Dataset {
         let mut dataset = Dataset::new(features.n_features(), ElementClass::COUNT);
         for (file, analysis) in files.iter().zip(analyses) {
-            let matrix = extract_line_features_with(&file.table, features, analysis);
+            let matrix = extract_line_features_view(file.table.view(), features, analysis);
             for (r, row_features) in matrix.iter().enumerate() {
                 if let Some(label) = file.line_labels[r] {
                     dataset.push(row_features, label.index());
@@ -87,37 +84,15 @@ impl StrudelLine {
         dataset
     }
 
-    /// Class probability vectors for every row of `table` (empty rows get
-    /// a uniform vector — they are never classified, but `Strudel^C`
-    /// consumes one vector per row).
-    pub fn predict_probs(&self, table: &Table) -> Vec<Vec<f64>> {
-        self.predict_probs_with_threads(table, 0)
-    }
-
-    /// [`predict_probs`](Self::predict_probs) with an explicit worker
-    /// thread count for the forest walks (`0` = available parallelism,
-    /// `1` = serial). Results are identical for every thread count.
-    pub fn predict_probs_with_threads(&self, table: &Table, n_threads: usize) -> Vec<Vec<f64>> {
-        let analysis = TableAnalysis::compute(table, self.features.derived);
-        self.predict_probs_with_analysis(table, &analysis, n_threads)
-    }
-
-    /// [`predict_probs_with_threads`](Self::predict_probs_with_threads)
-    /// reusing a precomputed [`TableAnalysis`] — the pipeline and the
-    /// cell/column stages compute one per table and share it.
-    pub fn predict_probs_with_analysis(
-        &self,
-        table: &Table,
-        analysis: &TableAnalysis,
-        n_threads: usize,
-    ) -> Vec<Vec<f64>> {
-        self.predict_probs_view(table.view(), analysis, n_threads)
-    }
-
-    /// [`predict_probs_with_analysis`](Self::predict_probs_with_analysis)
-    /// over any cell grid: the zero-copy detection path classifies the
-    /// borrowed grid directly, with probabilities identical to the
-    /// owned-table entry points.
+    /// Class probability vectors for every row of a cell grid (empty
+    /// rows get a uniform vector — they are never classified, but
+    /// `Strudel^C` consumes one vector per row), walking the forest
+    /// across `n_threads` worker threads (`0` = available parallelism,
+    /// `1` = serial; results are identical for every count). The
+    /// pipeline and the cell/column stages compute one
+    /// [`TableAnalysis`] per table and share it; owned tables pass
+    /// `table.view()`, with probabilities identical to the borrowed
+    /// grids of the zero-copy detection path.
     pub fn predict_probs_view<C: CellView>(
         &self,
         table: GridView<'_, C>,
@@ -138,18 +113,12 @@ impl StrudelLine {
         probs
     }
 
-    /// Hard class predictions: one per row, `None` for empty rows.
+    /// Hard class predictions: one per row, `None` for empty rows — the
+    /// argmax of [`predict_probs_view`](Self::predict_probs_view).
     pub fn predict(&self, table: &Table) -> Vec<Option<ElementClass>> {
-        let matrix = extract_line_features(table, &self.features);
-        (0..table.n_rows())
-            .map(|r| {
-                if table.row_is_empty(r) {
-                    None
-                } else {
-                    Some(ElementClass::from_index(self.forest.predict(&matrix[r])))
-                }
-            })
-            .collect()
+        let grid = table.view();
+        let analysis = TableAnalysis::compute(table, self.features.derived);
+        line_classes(grid, &self.predict_probs_view(grid, &analysis, 0))
     }
 
     /// The underlying forest (used by permutation importance).
@@ -166,6 +135,21 @@ impl StrudelLine {
     pub fn from_parts(forest: RandomForest, features: LineFeatureConfig) -> StrudelLine {
         StrudelLine { forest, features }
     }
+}
+
+/// Hard line classes from per-row probability vectors: the argmax of
+/// each non-empty row's vector, `None` for empty rows.
+pub(crate) fn line_classes<C: CellView>(
+    table: GridView<'_, C>,
+    probs: &[Vec<f64>],
+) -> Vec<Option<ElementClass>> {
+    probs
+        .iter()
+        .enumerate()
+        .map(|(r, p)| {
+            (!table.row_is_empty(r)).then(|| ElementClass::from_index(strudel_ml::argmax(p)))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -242,7 +226,9 @@ pub(crate) mod tests {
     fn probs_align_with_rows_and_sum_to_one() {
         let corpus = tiny_corpus(4);
         let model = StrudelLine::fit(&corpus.files, &fast_config());
-        let probs = model.predict_probs(&corpus.files[0].table);
+        let table = &corpus.files[0].table;
+        let analysis = TableAnalysis::compute(table, model.feature_config().derived);
+        let probs = model.predict_probs_view(table.view(), &analysis, 0);
         assert_eq!(probs.len(), 6);
         for p in &probs {
             assert_eq!(p.len(), ElementClass::COUNT);
@@ -255,7 +241,8 @@ pub(crate) mod tests {
         let corpus = tiny_corpus(4);
         let model = StrudelLine::fit(&corpus.files, &fast_config());
         let t = Table::from_rows(vec![vec!["a", "1"], vec!["", ""], vec!["b", "2"]]);
-        let probs = model.predict_probs(&t);
+        let analysis = TableAnalysis::compute(&t, model.feature_config().derived);
+        let probs = model.predict_probs_view(t.view(), &analysis, 0);
         assert!(probs[1].iter().all(|&p| (p - 1.0 / 6.0).abs() < 1e-12));
         let pred = model.predict(&t);
         assert_eq!(pred[1], None);

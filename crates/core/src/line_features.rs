@@ -87,23 +87,14 @@ const NEIGHBOUR_WINDOW: usize = 5;
 /// classify only non-empty lines but indices stay aligned with rows).
 pub fn extract_line_features(table: &Table, config: &LineFeatureConfig) -> Vec<Vec<f64>> {
     let analysis = TableAnalysis::compute(table, config.derived);
-    extract_line_features_with(table, config, &analysis)
+    extract_line_features_view(table.view(), config, &analysis)
 }
 
-/// [`extract_line_features`] reusing a precomputed [`TableAnalysis`], so
-/// one derived-cell detection per file serves the line, cell, and column
-/// extractors (the mask is recomputed if `analysis` was built for a
-/// different [`DerivedConfig`]).
-pub fn extract_line_features_with(
-    table: &Table,
-    config: &LineFeatureConfig,
-    analysis: &TableAnalysis,
-) -> Vec<Vec<f64>> {
-    extract_line_features_view(table.view(), config, analysis)
-}
-
-/// [`extract_line_features_with`] over any cell grid — owned tables
-/// (training, compatibility API) and the borrowed grids of the
+/// [`extract_line_features`] over any cell grid, reusing a precomputed
+/// [`TableAnalysis`] so one derived-cell detection per file serves the
+/// line, cell, and column extractors (the mask is recomputed if
+/// `analysis` was built for a different [`DerivedConfig`]). Owned
+/// tables (training, compatibility API) and the borrowed grids of the
 /// zero-copy detection path produce byte-identical feature matrices.
 pub fn extract_line_features_view<C: CellView>(
     table: GridView<'_, C>,

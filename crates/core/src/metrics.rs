@@ -8,14 +8,11 @@
 //! table from the borrowed grid. Streaming classification adds a
 //! seventh, [`Stage::Stream`], covering its windowing bookkeeping, and
 //! the packed container format adds [`Stage::Pack`]/[`Stage::Unpack`]
-//! for container encode/decode. The
-//! [`Metrics`] sink trait lets callers observe how
-//! long each stage took without the pipeline knowing who is listening:
-//! [`detect_structure_metered`](crate::Strudel::detect_structure_metered)
-//! reports into any sink, the plain
-//! [`detect_structure`](crate::Strudel::detect_structure) discards the
-//! observations through [`NullMetrics`], and the batch engine
-//! ([`crate::batch`]) aggregates one [`StageTimings`] per worker.
+//! for container encode/decode. [`StageTimings`] is the one sink: the
+//! guarded pipeline ([`Strudel::detect`](crate::Strudel::detect)) and
+//! the metered bytes entry point record one observation per stage into
+//! it, the batch engine ([`crate::batch`]) aggregates one per worker,
+//! and `strudel serve` merges them into its `/metrics` registry.
 
 use std::time::{Duration, Instant};
 
@@ -98,31 +95,6 @@ impl Stage {
     }
 }
 
-/// A sink for stage observations.
-///
-/// The pipeline calls [`record`](Metrics::record) once per executed
-/// stage. Implementations decide what to keep: [`NullMetrics`] drops
-/// everything, [`StageTimings`] accumulates totals.
-pub trait Metrics {
-    /// Observe that `stage` ran for `elapsed`.
-    fn record(&mut self, stage: Stage, elapsed: Duration);
-
-    /// Observe that the streaming classifier closed and emitted
-    /// `windows` windows. Sinks that only care about timing keep the
-    /// default no-op.
-    fn record_stream_windows(&mut self, windows: u64) {
-        let _ = windows;
-    }
-}
-
-/// The discard sink: structure detection without instrumentation.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullMetrics;
-
-impl Metrics for NullMetrics {
-    fn record(&mut self, _stage: Stage, _elapsed: Duration) {}
-}
-
 /// Accumulated per-stage totals and observation counts.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct StageTimings {
@@ -132,6 +104,18 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// Observe that `stage` ran for `elapsed`.
+    pub fn record(&mut self, stage: Stage, elapsed: Duration) {
+        self.totals[stage.index()] += elapsed;
+        self.counts[stage.index()] += 1;
+    }
+
+    /// Observe that the streaming classifier closed and emitted
+    /// `windows` windows.
+    pub fn record_stream_windows(&mut self, windows: u64) {
+        self.stream_windows += windows;
+    }
+
     /// Total time recorded for `stage`.
     pub fn total(&self, stage: Stage) -> Duration {
         self.totals[stage.index()]
@@ -172,7 +156,7 @@ impl StageTimings {
     /// [`Stage`] with a `stage="<name>"` label, in [`Stage::ALL`] order.
     ///
     /// Both families are monotone counters as long as the accumulator
-    /// only ever grows (via [`record`](Metrics::record) or
+    /// only ever grows (via [`record`](StageTimings::record) or
     /// [`merge`](StageTimings::merge)), which is how `strudel serve`
     /// uses it behind `/metrics`.
     pub fn to_prometheus(&self, prefix: &str) -> String {
@@ -204,41 +188,10 @@ impl StageTimings {
     }
 }
 
-/// A lock-guarded [`StageTimings`] is itself a [`Metrics`] sink, so
-/// concurrent pipelines (the `strudel serve` workers) can report into
-/// one shared accumulator. Workers that batch many observations should
-/// still accumulate locally and [`merge`](StageTimings::merge) once to
-/// keep lock traffic down; this impl is the convenience path for
-/// one-off metered calls.
-impl Metrics for &std::sync::Mutex<StageTimings> {
-    fn record(&mut self, stage: Stage, elapsed: Duration) {
-        if let Ok(mut guard) = self.lock() {
-            guard.record(stage, elapsed);
-        }
-    }
-
-    fn record_stream_windows(&mut self, windows: u64) {
-        if let Ok(mut guard) = self.lock() {
-            guard.record_stream_windows(windows);
-        }
-    }
-}
-
-impl Metrics for StageTimings {
-    fn record(&mut self, stage: Stage, elapsed: Duration) {
-        self.totals[stage.index()] += elapsed;
-        self.counts[stage.index()] += 1;
-    }
-
-    fn record_stream_windows(&mut self, windows: u64) {
-        self.stream_windows += windows;
-    }
-}
-
 /// A running wall-clock timer for one stage.
 ///
 /// ```
-/// use strudel::{Metrics, Stage, StageTimer, StageTimings};
+/// use strudel::{Stage, StageTimer, StageTimings};
 /// let mut sink = StageTimings::default();
 /// let timer = StageTimer::start(Stage::Parse);
 /// // ... do the work of the stage ...
@@ -261,7 +214,7 @@ impl StageTimer {
     }
 
     /// Stop the timer and record the elapsed time into `sink`.
-    pub fn stop(self, sink: &mut dyn Metrics) {
+    pub fn stop(self, sink: &mut StageTimings) {
         sink.record(self.stage, self.start.elapsed());
     }
 }
@@ -335,15 +288,5 @@ mod tests {
         // Durations are non-negative by construction; the observation
         // itself must exist even for instantaneous work.
         assert_eq!(sink.count(Stage::Parse), 0);
-    }
-
-    #[test]
-    fn null_metrics_discards() {
-        let mut sink = NullMetrics;
-        sink.record(Stage::Dialect, Duration::from_secs(1));
-        // Nothing to observe: the type is a unit struct. This test only
-        // pins that the call compiles through the trait object path.
-        let dyn_sink: &mut dyn Metrics = &mut sink;
-        dyn_sink.record(Stage::Parse, Duration::ZERO);
     }
 }

@@ -2,15 +2,18 @@
 //!
 //! Raw text → dialect detection → verbose CSV table → `Strudel^L` line
 //! classification → `Strudel^C` cell classification. [`Strudel`] bundles
-//! the two fitted stages and exposes one-call structure detection for raw
-//! text or pre-parsed tables.
+//! the two fitted stages; [`Strudel::detect`] is the one guarded pipeline
+//! body, and the convenience entry points for text, bytes and
+//! pre-parsed tables are thin calls into it or its classification core.
 
 use crate::analysis::TableAnalysis;
 use crate::cell_classifier::{CellPrediction, StrudelCell, StrudelCellConfig};
-use crate::line_classifier::StrudelLine;
-use crate::metrics::{Metrics, NullMetrics, Stage, StageTimer};
+use crate::line_classifier::{line_classes, StrudelLine};
+use crate::metrics::{Stage, StageTimer, StageTimings};
 use std::collections::HashMap;
-use strudel_dialect::{decode_utf8, try_detect_dialect, try_read_table_ref_with, Dialect};
+use strudel_dialect::{
+    decode_utf8, strip_bom, try_detect_dialect, try_read_table_ref_with, Dialect,
+};
 use strudel_table::{
     CellView, Deadline, ElementClass, GridView, LabeledFile, LimitKind, Limits, StrudelError, Table,
 };
@@ -261,67 +264,39 @@ impl Strudel {
     /// Detect the structure of raw text: dialect detection, parsing, and
     /// both classification stages. A leading UTF-8 BOM is stripped.
     ///
-    /// This legacy entry point runs without resource limits and cannot
-    /// fail; untrusted input should go through
-    /// [`try_detect_structure`](Self::try_detect_structure) instead.
+    /// This convenience entry point runs without resource limits and
+    /// cannot fail; untrusted input should go through
+    /// [`try_detect_structure_bytes`](Self::try_detect_structure_bytes)
+    /// or [`detect`](Self::detect) instead.
     pub fn detect_structure(&self, text: &str) -> Structure {
-        self.detect_structure_metered(text, &mut NullMetrics)
-    }
-
-    /// [`detect_structure`](Self::detect_structure) with per-stage timing
-    /// reported into `sink` — one [`Metrics::record`] call per pipeline
-    /// stage ([`Stage::ALL`]). The detected structure is identical to the
-    /// unmetered call.
-    pub fn detect_structure_metered(&self, text: &str, sink: &mut dyn Metrics) -> Structure {
-        self.detect_structure_with_threads(text, 0, sink)
-    }
-
-    /// Full pipeline with explicit inference thread count; `0` picks the
-    /// available parallelism, the batch engine pins workers to `1`.
-    pub(crate) fn detect_structure_with_threads(
-        &self,
-        text: &str,
-        n_threads: usize,
-        sink: &mut dyn Metrics,
-    ) -> Structure {
         // With unbounded limits and no deadline, no error path of the
         // guarded pipeline is reachable on `&str` input.
-        self.try_detect_structure_guarded(
-            text,
+        self.detect(
+            strip_bom(text),
+            None,
             &Limits::unbounded(),
             Deadline::none(),
-            n_threads,
-            sink,
+            0,
+            &mut StageTimings::default(),
         )
         .expect("unbounded detection cannot fail")
     }
 
-    /// [`detect_structure`](Self::detect_structure) under resource
-    /// [`Limits`]: every stage either succeeds or reports a typed
-    /// [`StrudelError`] — never a panic, never unbounded memory. Within
-    /// the limits the result is identical to the unbounded entry point.
-    pub fn try_detect_structure(
-        &self,
-        text: &str,
-        limits: &Limits,
-    ) -> Result<Structure, StrudelError> {
-        self.try_detect_structure_metered(text, limits, &mut NullMetrics)
-    }
-
-    /// [`try_detect_structure`](Self::try_detect_structure) over raw
-    /// bytes: decodes UTF-8 first (a typed parse error on failure, with
-    /// the offending byte offset), then runs the guarded pipeline. The
+    /// The guarded pipeline over raw bytes: the byte cap (BOM
+    /// included), UTF-8 decoding (a typed parse error on failure, with
+    /// the offending byte offset), then [`detect`](Self::detect) on the
+    /// BOM-stripped text with a deadline started after decoding. The
     /// entry point for untrusted file contents.
     pub fn try_detect_structure_bytes(
         &self,
         bytes: &[u8],
         limits: &Limits,
     ) -> Result<Structure, StrudelError> {
-        self.try_detect_structure_bytes_metered(bytes, limits, 0, &mut NullMetrics)
+        self.try_detect_structure_bytes_metered(bytes, limits, 0, &mut StageTimings::default())
     }
 
     /// [`try_detect_structure_bytes`](Self::try_detect_structure_bytes)
-    /// with per-stage timing reported into `sink` and an explicit
+    /// with per-stage timing recorded into `sink` and an explicit
     /// inference thread count: `0` picks the available parallelism;
     /// resident services running several request workers (the `strudel
     /// serve` daemon) pin `1`, like the batch engine, so per-request
@@ -331,7 +306,7 @@ impl Strudel {
         bytes: &[u8],
         limits: &Limits,
         n_threads: usize,
-        sink: &mut dyn Metrics,
+        sink: &mut StageTimings,
     ) -> Result<Structure, StrudelError> {
         if let Some(max) = limits.max_input_bytes {
             if bytes.len() as u64 > max {
@@ -343,72 +318,47 @@ impl Strudel {
             }
         }
         let text = decode_utf8(bytes)?;
-        self.try_detect_structure_guarded(text, limits, limits.start_deadline(), n_threads, sink)
+        self.detect(
+            strip_bom(text),
+            None,
+            limits,
+            limits.start_deadline(),
+            n_threads,
+            sink,
+        )
     }
 
-    /// [`try_detect_structure`](Self::try_detect_structure) with
-    /// per-stage timing reported into `sink`.
-    pub fn try_detect_structure_metered(
-        &self,
-        text: &str,
-        limits: &Limits,
-        sink: &mut dyn Metrics,
-    ) -> Result<Structure, StrudelError> {
-        self.try_detect_structure_guarded(text, limits, limits.start_deadline(), 0, sink)
-    }
-
-    /// The guarded pipeline core: limits enforced in every pre-model
-    /// stage, the wall-clock deadline polled at stage boundaries and
-    /// inside the parser loop.
-    pub(crate) fn try_detect_structure_guarded(
-        &self,
-        text: &str,
-        limits: &Limits,
-        deadline: Deadline,
-        n_threads: usize,
-        sink: &mut dyn Metrics,
-    ) -> Result<Structure, StrudelError> {
-        let text = strudel_dialect::strip_bom(text);
-        self.try_detect_structure_stripped(text, None, limits, deadline, n_threads, sink)
-    }
-
-    /// The guarded pipeline with a *known* dialect: byte-cap and binary
-    /// checks, guarded parsing, and both classification stages — dialect
-    /// detection is skipped. This is the per-window work unit of the
+    /// The one guarded pipeline body: byte cap, binary check, dialect
+    /// detection (skipped when `dialect` is given), guarded parsing,
+    /// classification and materialisation, each stage recorded once
+    /// into `sink`. Every stage either succeeds or reports a typed
+    /// [`StrudelError`] — never a panic, never unbounded memory — and
+    /// the wall-clock `deadline` is polled at stage boundaries and
+    /// inside the parser loop. `n_threads` is the inference thread
+    /// count (`0` = available parallelism, see
+    /// [`crate::batch::resolve_threads`]).
+    ///
+    /// `text` is taken as given: a leading BOM is *not* stripped, so
+    /// callers that already consumed one (the streaming classifier
+    /// strips it at the byte level) do not lose genuine `U+FEFF`
+    /// content. Limits apply to `text` itself, so `max_input_bytes`
+    /// caps a streamed window, not the whole stream, and the NUL offset
+    /// of a `reject_binary` failure is relative to `text`.
+    ///
+    /// With a known dialect this is the per-window work unit of the
     /// streaming classifier ([`crate::stream`]): each closed window is
     /// classified exactly as if its text were an independent document
     /// parsed under the stream's prefix-detected dialect, which is also
     /// what the streaming-vs-whole-file differential tests re-run on
-    /// window slices to prove the windows were cut and buffered
-    /// correctly. Limits apply to `text` as given (so
-    /// `max_input_bytes` caps the window, not the whole stream), and the
-    /// NUL offset of a `reject_binary` failure is relative to `text`.
-    pub fn try_detect_structure_with_dialect(
-        &self,
-        text: &str,
-        dialect: &Dialect,
-        limits: &Limits,
-        deadline: Deadline,
-        n_threads: usize,
-        sink: &mut dyn Metrics,
-    ) -> Result<Structure, StrudelError> {
-        self.try_detect_structure_stripped(text, Some(dialect), limits, deadline, n_threads, sink)
-    }
-
-    /// The one guarded pipeline body, minus the BOM strip: byte cap,
-    /// binary check, dialect detection (skipped when `dialect` is
-    /// given), guarded parsing, classification and materialisation.
-    /// Called directly by callers that already consumed a leading BOM
-    /// (the streaming classifier strips it at the byte level, so a
-    /// second strip here would eat genuine `U+FEFF` content).
-    pub(crate) fn try_detect_structure_stripped(
+    /// window slices.
+    pub fn detect(
         &self,
         text: &str,
         dialect: Option<&Dialect>,
         limits: &Limits,
         deadline: Deadline,
         n_threads: usize,
-        sink: &mut dyn Metrics,
+        sink: &mut StageTimings,
     ) -> Result<Structure, StrudelError> {
         if let Some(max) = limits.max_input_bytes {
             if text.len() as u64 > max {
@@ -427,10 +377,6 @@ impl Strudel {
                 });
             }
         }
-        // The thread knob resolves exactly once for the whole pipeline
-        // (explicit request → STRUDEL_THREADS → available parallelism),
-        // so both forest walks see the same effective count.
-        let n_threads = crate::batch::resolve_threads(n_threads);
         let dialect = match dialect {
             Some(dialect) => *dialect,
             None => {
@@ -454,37 +400,16 @@ impl Strudel {
         Ok(Structure::new(dialect, table, lines, line_probs, cells))
     }
 
-    /// Detect the structure of a pre-parsed table.
+    /// Detect the structure of a pre-parsed table: the two
+    /// classification stages only, since dialect detection and parsing
+    /// already happened.
     pub fn detect_structure_of_table(&self, table: Table, dialect: Dialect) -> Structure {
-        self.detect_structure_of_table_metered(table, dialect, &mut NullMetrics)
-    }
-
-    /// [`detect_structure_of_table`](Self::detect_structure_of_table)
-    /// with per-stage timing reported into `sink`. Only the shared
-    /// derived-cell analysis and the two classification stages are
-    /// recorded — dialect detection and parsing did not run.
-    pub fn detect_structure_of_table_metered(
-        &self,
-        table: Table,
-        dialect: Dialect,
-        sink: &mut dyn Metrics,
-    ) -> Structure {
-        self.detect_structure_of_table_with_threads(table, dialect, 0, sink)
-    }
-
-    pub(crate) fn detect_structure_of_table_with_threads(
-        &self,
-        table: Table,
-        dialect: Dialect,
-        n_threads: usize,
-        sink: &mut dyn Metrics,
-    ) -> Structure {
-        let n_threads = crate::batch::resolve_threads(n_threads);
-        let (lines, line_probs, cells) = self.classify_grid(table.view(), n_threads, sink);
+        let (lines, line_probs, cells) =
+            self.classify_grid(table.view(), 0, &mut StageTimings::default());
         Structure::new(dialect, table, lines, line_probs, cells)
     }
 
-    /// The classification core, shared by the owned-table entry points
+    /// The classification core, shared by the owned-table entry point
     /// and the borrowed zero-copy detection path: one derived-cell
     /// analysis, `Strudel^L` line probabilities (with hard classes as
     /// their argmax — the forest is only walked once per line), and
@@ -493,12 +418,16 @@ impl Strudel {
         &self,
         grid: GridView<'_, C>,
         n_threads: usize,
-        sink: &mut dyn Metrics,
+        sink: &mut StageTimings,
     ) -> (
         Vec<Option<ElementClass>>,
         Vec<Vec<f64>>,
         Vec<CellPrediction>,
     ) {
+        // The thread knob resolves exactly once per grid (explicit
+        // request → STRUDEL_THREADS → available parallelism), so both
+        // forest walks see the same effective count.
+        let n_threads = crate::batch::resolve_threads(n_threads);
         let line_model = self.cell_model.line_model();
         // One derived-cell detection (Algorithm 2) per table, shared by
         // the line and cell feature extractors.
@@ -507,15 +436,7 @@ impl Strudel {
         timer.stop(sink);
         let timer = StageTimer::start(Stage::LineClassify);
         let line_probs = line_model.predict_probs_view(grid, &analysis, n_threads);
-        let lines: Vec<Option<ElementClass>> = (0..grid.n_rows())
-            .map(|r| {
-                if grid.row_is_empty(r) {
-                    None
-                } else {
-                    Some(ElementClass::from_index(strudel_ml::argmax(&line_probs[r])))
-                }
-            })
-            .collect();
+        let lines = line_classes(grid, &line_probs);
         timer.stop(sink);
         let timer = StageTimer::start(Stage::CellClassify);
         let cells =
@@ -677,39 +598,75 @@ mod tests {
 
     #[test]
     fn metered_detection_records_all_stages_and_matches_unmetered() {
-        use crate::metrics::{Stage, StageTimings};
         let model = fitted();
         let text = "Report on crime,,\nState,2019,2020\nBerlin,14,28\nHamburg,15,29\nTotal,29,57\nSource: police,,\n";
-        let mut sink = StageTimings::default();
-        let metered = model.detect_structure_metered(text, &mut sink);
-        for stage in Stage::ALL {
-            // The whole-file pipeline records every stage except the
-            // streaming-only bookkeeping stage and the container
-            // encode/decode stages.
-            let want = u64::from(!matches!(
-                stage,
-                Stage::Stream | Stage::Pack | Stage::Unpack
-            ));
-            assert_eq!(sink.count(stage), want, "stage {} recorded", stage.name());
-        }
-        assert_eq!(metered, model.detect_structure(text));
+        let limits = Limits::standard();
+        let reference = model.detect_structure(text);
 
-        // The table entry point skips dialect detection and parsing but
-        // still records the shared analysis and both classifiers.
+        // A whole-file call records every stage once, except the
+        // streaming-only bookkeeping stage and the container
+        // encode/decode stages; with a known dialect, detection is
+        // skipped.
+        let assert_once = |sink: &StageTimings, dialect_runs: bool| {
+            for stage in Stage::ALL {
+                let want = match stage {
+                    Stage::Stream | Stage::Pack | Stage::Unpack => 0,
+                    Stage::Dialect => u64::from(dialect_runs),
+                    _ => 1,
+                };
+                assert_eq!(sink.count(stage), want, "stage {} recorded", stage.name());
+            }
+        };
+
         let mut sink = StageTimings::default();
-        let table = strudel_dialect::read_table_with(text, &strudel_dialect::Dialect::rfc4180());
-        let s = model.detect_structure_of_table_metered(
-            table,
-            strudel_dialect::Dialect::rfc4180(),
-            &mut sink,
+        let detected = model
+            .detect(text, None, &limits, Deadline::none(), 0, &mut sink)
+            .unwrap();
+        assert_once(&sink, true);
+        assert_eq!(detected, reference);
+
+        let mut sink = StageTimings::default();
+        let known = model
+            .detect(
+                text,
+                Some(&reference.dialect),
+                &limits,
+                Deadline::none(),
+                1,
+                &mut sink,
+            )
+            .unwrap();
+        assert_once(&sink, false);
+        assert_eq!(known, reference);
+
+        let mut sink = StageTimings::default();
+        let metered = model
+            .try_detect_structure_bytes_metered(text.as_bytes(), &limits, 2, &mut sink)
+            .unwrap();
+        assert_once(&sink, true);
+        assert_eq!(metered, reference);
+        assert_eq!(
+            model
+                .try_detect_structure_bytes(text.as_bytes(), &limits)
+                .unwrap(),
+            reference
         );
-        assert_eq!(sink.count(Stage::Dialect), 0);
-        assert_eq!(sink.count(Stage::Parse), 0);
-        assert_eq!(sink.count(Stage::DerivedCells), 1);
-        assert_eq!(sink.count(Stage::LineClassify), 1);
-        assert_eq!(sink.count(Stage::CellClassify), 1);
-        // The table was already owned — nothing to materialise.
-        assert_eq!(sink.count(Stage::Materialize), 0);
-        assert_eq!(s.lines.len(), 6);
+
+        // The table entry point skips dialect detection and parsing and
+        // has nothing to materialise; it classifies the same grid.
+        let of_table = model.detect_structure_of_table(reference.table.clone(), reference.dialect);
+        assert_eq!(of_table, reference);
+        assert_eq!(of_table.lines.len(), 6);
+
+        // Each classifier's own `predict` on the parsed table agrees
+        // with the pipeline.
+        assert_eq!(
+            model.line_model().predict(&reference.table),
+            reference.lines
+        );
+        assert_eq!(
+            model.cell_model().predict(&reference.table),
+            reference.cells
+        );
     }
 }

@@ -27,8 +27,8 @@
 //! paper's line features aggregate over the whole file), so each window
 //! is classified independently under the prefix-detected dialect; the
 //! differential harness then proves every emitted window equals
-//! [`Strudel::try_detect_structure_with_dialect`] re-run on that
-//! window's slice of the original text.
+//! [`Strudel::detect`] re-run with that dialect on the window's slice
+//! of the original text.
 //!
 //! **Limit semantics** (documented divergence from whole-file mode):
 //! [`Limits::max_input_bytes`] caps each *window*, not the stream — use
@@ -44,7 +44,7 @@
 
 use crate::extract::{to_relational, RelationalTable};
 use crate::json::dialect_json;
-use crate::metrics::{Metrics, Stage, StageTimings};
+use crate::metrics::{Stage, StageTimer, StageTimings};
 use crate::pipeline::{Structure, Strudel};
 use std::time::{Duration, Instant};
 use strudel_dialect::stream::{RecordEnd, RecordTracker, Utf8Feeder};
@@ -324,13 +324,13 @@ impl<'m> StreamClassifier<'m> {
         check_total_bytes(self.buf.len() as u64, self.config.max_total_bytes)?;
         self.timings
             .record(Stage::Stream, std::mem::take(&mut self.stream_time));
-        // The feeder already consumed the BOM, so enter the pipeline
-        // past its own strip. When the prefix detector already ran, its
+        // The feeder already consumed the BOM, and `detect` does not
+        // strip another. When the prefix detector already ran, its
         // dialect is reused — detection happens exactly once per input
         // (pinned by the stage-timings assertion) instead of being
         // recomputed here for every single-window stream that crossed
         // the prefix threshold.
-        let structure = self.model.try_detect_structure_stripped(
+        let structure = self.model.detect(
             &self.buf,
             self.dialect.as_ref(),
             &self.config.limits,
@@ -377,7 +377,7 @@ impl<'m> StreamClassifier<'m> {
     /// every window close reuse the result, so each input records
     /// exactly one [`Stage::Dialect`] observation.
     fn detect_dialect(&mut self) -> Result<(), StrudelError> {
-        let timer = crate::metrics::StageTimer::start(Stage::Dialect);
+        let timer = StageTimer::start(Stage::Dialect);
         let mut cut = self.config.prefix_bytes.min(self.buf.len());
         while cut > 0 && !self.buf.is_char_boundary(cut) {
             cut -= 1;
@@ -477,9 +477,9 @@ impl<'m> StreamClassifier<'m> {
     /// Classify `buf[..upto]` as one window, emit it, and drop its text.
     fn close_window(&mut self, upto: usize) -> Result<(), StrudelError> {
         let dialect = self.dialect.expect("window close implies dialect");
-        let structure = self.model.try_detect_structure_with_dialect(
+        let structure = self.model.detect(
             &self.buf[..upto],
-            &dialect,
+            Some(&dialect),
             &self.config.limits,
             self.deadline,
             self.config.n_threads,
@@ -773,13 +773,13 @@ mod tests {
             assert_eq!(w.first_row, next_row);
             let slice = &text[w.start_byte as usize..w.end_byte as usize];
             let oracle = model
-                .try_detect_structure_with_dialect(
+                .detect(
                     slice,
-                    &summary.dialect,
+                    Some(&summary.dialect),
                     &Limits::standard(),
                     Deadline::none(),
                     0,
-                    &mut crate::metrics::NullMetrics,
+                    &mut StageTimings::default(),
                 )
                 .unwrap();
             assert_eq!(w.structure.to_json(), oracle.to_json());

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use std::time::Duration;
-use strudel::{Metrics, Stage, StageTimings};
+use strudel::{Stage, StageTimings};
 
 #[test]
 fn prometheus_rendering_locks_names_and_labels() {

@@ -2,8 +2,8 @@
 //!
 //! This is the original state-machine parser: it walks the input one
 //! `char` at a time and allocates an owned `String` per field. It has
-//! been superseded as the production path by the block scanner in
-//! [`crate::scan`], but is kept verbatim as the **reference
+//! been superseded as the production path by the block scanner
+//! ([`scan_records`](crate::scan_records)), but is kept verbatim as the **reference
 //! implementation** for the differential parity harness: the proptest
 //! suite (`tests/parity.rs`), the block-seam regression tests, and the
 //! fuzz divergence check all assert that the scanner's output is
@@ -46,7 +46,7 @@ pub fn try_parse_legacy(
 }
 
 /// [`try_parse_legacy`] with an explicit wall-clock [`Deadline`], checked
-/// every [`DEADLINE_CHECK_INTERVAL`] characters.
+/// every 64Ki characters.
 pub fn try_parse_within_legacy(
     text: &str,
     dialect: &Dialect,

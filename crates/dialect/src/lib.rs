@@ -98,8 +98,8 @@ fn table_from_records(records: &RecordsRef<'_>) -> Table {
 /// Assemble the padded **borrowed** cell grid from borrowed records:
 /// field values stay `Cow` slices of the input buffer (owned only for
 /// unescaped fields), so no cell text is copied. The borrowed
-/// counterpart of [`table_from_records`], with identical padding and
-/// identical inference per cell.
+/// counterpart of the owned grid [`read_table_with`] builds, with
+/// identical padding and identical inference per cell.
 pub fn table_ref_from_records<'a>(records: &RecordsRef<'a>) -> TableRef<'a> {
     let n_rows = records.n_records();
     let n_cols = records.iter().map(|r| r.len()).max().unwrap_or(0);

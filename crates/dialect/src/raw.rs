@@ -1,13 +1,14 @@
 //! Raw-span record walking: byte-exact field geometry for lossless
 //! re-serialisation.
 //!
-//! The production scan layer ([`crate::scan`]) hands out *content*
-//! spans — quoted fields lose their surrounding quotes, doubled quotes
-//! and escapes are undone (copy-on-write). That is the right shape for
-//! classification, but the packed container format needs the opposite:
-//! the exact bytes of every field as they sit in the file, so that
-//! re-emitting `join(fields, delimiter) + terminator` per record
-//! reproduces the input byte for byte, quoting quirks and all.
+//! The production scan layer ([`scan_records`](crate::scan_records))
+//! hands out *content* spans — quoted fields lose their surrounding
+//! quotes, doubled quotes and escapes are undone (copy-on-write). That
+//! is the right shape for classification, but the packed container
+//! format needs the opposite: the exact bytes of every field as they
+//! sit in the file, so that re-emitting
+//! `join(fields, delimiter) + terminator` per record reproduces the
+//! input byte for byte, quoting quirks and all.
 //!
 //! [`raw_records`] walks the input with the same state machine as the
 //! retained legacy parser ([`crate::legacy`]) — the canonical

@@ -231,8 +231,9 @@ impl RandomForest {
     /// Each thread takes a contiguous share of the rows and walks it in
     /// blocks of rows, tree by tree. Every row still adds its leaf
     /// values in tree order and divides by the tree count last, so the
-    /// output is bit-identical to [`predict_proba_into`]
-    /// (Self::predict_proba_into) for every thread count. Small batches
+    /// output is bit-identical to
+    /// [`predict_proba_into`](Self::predict_proba_into) for every thread
+    /// count. Small batches
     /// stay on the calling thread: below [`PARALLEL_PREDICT_THRESHOLD`]
     /// samples the thread spawn overhead outweighs the tree walks.
     pub fn predict_proba_batch(&self, rows: &[&[f64]], n_threads: usize) -> Vec<Vec<f64>> {

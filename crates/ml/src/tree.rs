@@ -125,7 +125,8 @@ impl DecisionTree {
     }
 
     /// Rebuild a tree from storage form, validating that it is in
-    /// pre-order (see [`check_children`]) and the leaf arity.
+    /// pre-order (each split's left child is the next node and its right
+    /// child comes after it, inside the tree) and the leaf arity.
     pub fn from_raw_parts(
         nodes: Vec<RawNode>,
         n_classes: usize,

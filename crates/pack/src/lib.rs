@@ -17,10 +17,10 @@
 //! - **Losslessness.** [`PackReader::unpack`] reproduces the original
 //!   input byte for byte — quoting quirks, ragged rows, mixed line
 //!   endings, BOM and all — and verifies the result against the
-//!   original's [`ContentHash`] before returning it. This rests on the
+//!   original's [`ContentHash`](strudel::ContentHash) before returning it. This rests on the
 //!   raw-span tiling invariant of [`strudel_dialect::raw_records`].
 //! - **Bounded memory.** [`PackWriter`] seals one block group per
-//!   emitted [`StreamClassifier`] window, so packing a stream needs
+//!   emitted [`StreamClassifier`](strudel::StreamClassifier) window, so packing a stream needs
 //!   O(window) memory, never O(file).
 //!
 //! ```

@@ -218,7 +218,7 @@ impl Default for Registry {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use strudel::{Metrics, Stage};
+    use strudel::Stage;
 
     #[test]
     fn render_contains_every_family() {

@@ -12,15 +12,15 @@
 //!    byte-identical to `try_detect_structure_bytes`, including the
 //!    limit-error payloads under randomized tight limits.
 //! 3. **Per-window oracle** — every window of a multi-window stream
-//!    equals `try_detect_structure_with_dialect` re-run on that window's
-//!    slice of the input.
+//!    equals `Strudel::detect` re-run with the stream's dialect on that
+//!    window's slice of the input.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use strudel_repro::datagen::{saus, GeneratorConfig};
 use strudel_repro::ml::ForestConfig;
 use strudel_repro::strudel::{
-    stream_to_json, to_relational, Deadline, Limits, NullMetrics, StreamClassifier, StreamConfig,
+    stream_to_json, to_relational, Deadline, Limits, StageTimings, StreamClassifier, StreamConfig,
     StreamSummary, StreamWindow, Strudel, StrudelCellConfig, StrudelError, StrudelLineConfig,
 };
 
@@ -260,13 +260,13 @@ proptest! {
                 prop_assert_eq!(w.first_row, next_row);
                 let slice = &text[w.start_byte as usize..w.end_byte as usize];
                 let oracle = model()
-                    .try_detect_structure_with_dialect(
+                    .detect(
                         slice,
-                        &summary.dialect,
+                        Some(&summary.dialect),
                         &config.limits,
                         Deadline::none(),
                         1,
-                        &mut NullMetrics,
+                        &mut StageTimings::default(),
                     )
                     .expect("window slice re-classifies");
                 prop_assert_eq!(w.structure.to_json(), oracle.to_json());
