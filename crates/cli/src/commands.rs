@@ -5,6 +5,7 @@ use crate::{existing, fast_config, model_from, print_evaluation, CliError};
 use std::fs;
 use std::path::Path;
 use strudel::{repair_cells, RepairConfig, Structure, Strudel};
+use strudel_dialect::{write_delimited, Dialect};
 
 /// `strudel synth --dataset NAME --out DIR [--files N --seed K --scale S]`
 pub fn synth(options: &Options) -> Result<(), CliError> {
@@ -234,27 +235,9 @@ pub fn extract(options: &Options) -> Result<(), CliError> {
         .ok_or("extract requires an input FILE")?;
     let structure = detect_file(options, input)?;
 
-    let render_row = |row: &[String]| {
-        row.iter()
-            .map(|v| {
-                if v.contains([',', '"', '\n']) {
-                    format!("\"{}\"", v.replace('"', "\"\""))
-                } else {
-                    v.clone()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let mut out = String::new();
-    if let Some(header) = structure.header_row() {
-        out.push_str(&render_row(&header));
-        out.push('\n');
-    }
-    for row in structure.data_rows() {
-        out.push_str(&render_row(&row));
-        out.push('\n');
-    }
+    let mut rows: Vec<Vec<String>> = structure.header_row().into_iter().collect();
+    rows.extend(structure.data_rows());
+    let out = write_delimited(&rows, &Dialect::rfc4180());
     match &options.out {
         Some(path) => {
             fs::write(path, &out).map_err(|e| e.to_string())?;
@@ -582,8 +565,7 @@ pub fn eval(options: &Options) -> Result<(), CliError> {
     let mut cell_gold = Vec::new();
     let mut cell_pred = Vec::new();
     for file in &corpus.files {
-        let structure = model
-            .detect_structure_of_table(file.table.clone(), strudel_dialect::Dialect::rfc4180());
+        let structure = model.detect_structure_of_table(file.table.clone(), Dialect::rfc4180());
         for r in 0..file.table.n_rows() {
             if let (Some(g), Some(p)) = (file.line_labels[r], structure.lines[r]) {
                 line_gold.push(g.index());

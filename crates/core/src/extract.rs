@@ -11,6 +11,7 @@
 //! instead of being lost.
 
 use crate::pipeline::Structure;
+use strudel_dialect::{write_delimited, Dialect};
 use strudel_table::ElementClass;
 
 /// One extracted relational table.
@@ -25,26 +26,12 @@ pub struct RelationalTable {
 }
 
 impl RelationalTable {
-    /// Render as RFC 4180 CSV text.
+    /// Render as RFC 4180 CSV text: the column names, then one line per
+    /// tuple.
     pub fn to_csv(&self) -> String {
-        let render = |row: &[String]| {
-            row.iter()
-                .map(|v| {
-                    if v.contains([',', '"', '\n']) {
-                        format!("\"{}\"", v.replace('"', "\"\""))
-                    } else {
-                        v.clone()
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let mut out = render(&self.columns);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&render(row));
-            out.push('\n');
-        }
+        let rfc = Dialect::rfc4180();
+        let mut out = write_delimited(std::slice::from_ref(&self.columns), &rfc);
+        out.push_str(&write_delimited(&self.rows, &rfc));
         out
     }
 }
@@ -173,7 +160,6 @@ fn first_non_empty(structure: &Structure, row: usize) -> String {
 mod tests {
     use super::*;
     use crate::cell_classifier::CellPrediction;
-    use strudel_dialect::Dialect;
     use strudel_table::Table;
 
     use ElementClass::*;
@@ -297,10 +283,15 @@ mod tests {
     fn csv_rendering_quotes() {
         let t = RelationalTable {
             columns: vec!["a,b".to_string(), "c".to_string()],
-            rows: vec![vec!["say \"hi\"".to_string(), "2".to_string()]],
+            rows: vec![
+                vec!["say \"hi\"".to_string(), "2".to_string()],
+                // CSV readers end a record at a bare `\r`, so it is
+                // quoted like `\n`.
+                vec!["a\rb".to_string(), "3".to_string()],
+            ],
         };
         let csv = t.to_csv();
-        assert_eq!(csv, "\"a,b\",c\n\"say \"\"hi\"\"\",2\n");
+        assert_eq!(csv, "\"a,b\",c\n\"say \"\"hi\"\"\",2\n\"a\rb\",3\n");
     }
 
     #[test]

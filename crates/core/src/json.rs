@@ -36,8 +36,7 @@ pub fn json_string(s: &str) -> String {
 
 /// The dialect object of the canonical structure JSON, on one line:
 /// `{"delimiter": ",", "quote": "\"", "escape": null}`. Shared by
-/// [`Structure::to_json`], [`crate::stream_to_json`] and the daemon's
-/// streaming summary event.
+/// the structure JSON and the daemon's streaming summary event.
 pub fn dialect_json(dialect: &Dialect) -> String {
     let char_field = |c: Option<char>| match c {
         Some(c) => json_string(&c.to_string()),
@@ -72,43 +71,66 @@ impl Structure {
     /// and the golden snapshots, keeping the payload proportional to the
     /// interesting structure rather than to the file size.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        writeln!(out, "  \"dialect\": {},", dialect_json(&self.dialect)).unwrap();
-        writeln!(out, "  \"n_rows\": {},", self.table.n_rows()).unwrap();
-        writeln!(out, "  \"n_cols\": {},", self.table.n_cols()).unwrap();
-        let lines: Vec<String> = self
-            .lines
-            .iter()
-            .map(|l| match l {
-                Some(c) => format!("\"{}\"", c.name()),
-                None => "null".to_string(),
-            })
-            .collect();
-        writeln!(out, "  \"lines\": [{}],", lines.join(", ")).unwrap();
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .filter(|cell| Some(cell.class) != self.lines[cell.row])
-            .map(|cell| {
-                format!(
-                    "    {{\"row\": {}, \"col\": {}, \"class\": \"{}\"}}",
-                    cell.row,
-                    cell.col,
-                    cell.class.name()
-                )
-            })
-            .collect();
-        if cells.is_empty() {
-            out.push_str("  \"cells\": []\n");
-        } else {
-            out.push_str("  \"cells\": [\n");
-            out.push_str(&cells.join(",\n"));
-            out.push_str("\n  ]\n");
-        }
-        out.push('}');
-        out
+        structure_json(&[(0, self)])
     }
+}
+
+/// The one structure-JSON renderer: one document given as consecutive
+/// parts, each with the global row index of its first row. `n_rows`
+/// sums, `n_cols` is the widest part, `lines` concatenates, `cells`
+/// carries global row indices, and the dialect is the first part's
+/// (RFC 4180 when there is none). One part at row 0 is
+/// [`Structure::to_json`]; streamed windows are
+/// [`crate::stream_to_json`].
+pub(crate) fn structure_json(parts: &[(usize, &Structure)]) -> String {
+    let dialect = parts
+        .first()
+        .map_or_else(Dialect::rfc4180, |(_, s)| s.dialect);
+    let mut out = String::new();
+    out.push_str("{\n");
+    writeln!(out, "  \"dialect\": {},", dialect_json(&dialect)).unwrap();
+    let n_rows: usize = parts.iter().map(|(_, s)| s.table.n_rows()).sum();
+    let n_cols = parts
+        .iter()
+        .map(|(_, s)| s.table.n_cols())
+        .max()
+        .unwrap_or(0);
+    writeln!(out, "  \"n_rows\": {n_rows},").unwrap();
+    writeln!(out, "  \"n_cols\": {n_cols},").unwrap();
+    let lines: Vec<String> = parts
+        .iter()
+        .flat_map(|(_, s)| &s.lines)
+        .map(|l| match l {
+            Some(c) => format!("\"{}\"", c.name()),
+            None => "null".to_string(),
+        })
+        .collect();
+    writeln!(out, "  \"lines\": [{}],", lines.join(", ")).unwrap();
+    let cells: Vec<String> = parts
+        .iter()
+        .flat_map(|&(first_row, s)| {
+            s.cells
+                .iter()
+                .filter(|cell| Some(cell.class) != s.lines[cell.row])
+                .map(move |cell| {
+                    format!(
+                        "    {{\"row\": {}, \"col\": {}, \"class\": \"{}\"}}",
+                        first_row + cell.row,
+                        cell.col,
+                        cell.class.name()
+                    )
+                })
+        })
+        .collect();
+    if cells.is_empty() {
+        out.push_str("  \"cells\": []\n");
+    } else {
+        out.push_str("  \"cells\": [\n");
+        out.push_str(&cells.join(",\n"));
+        out.push_str("\n  ]\n");
+    }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]

@@ -130,14 +130,16 @@ impl Structure {
             .iter()
             .position(|l| *l == Some(ElementClass::Header));
         let r = by_line.or_else(|| {
-            (0..self.table.n_rows()).find(|&r| {
-                let headers = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.row == r && c.class == ElementClass::Header)
-                    .count();
-                headers > 0 && 2 * headers >= self.table.row_non_empty_count(r)
-            })
+            let mut headers = vec![0usize; self.table.n_rows()];
+            for c in self
+                .cells
+                .iter()
+                .filter(|c| c.class == ElementClass::Header)
+            {
+                headers[c.row] += 1;
+            }
+            (0..self.table.n_rows())
+                .find(|&r| headers[r] > 0 && 2 * headers[r] >= self.table.row_non_empty_count(r))
         })?;
         Some(
             (0..self.table.n_cols())
@@ -499,6 +501,53 @@ mod tests {
         assert_eq!(data.len(), 2);
         assert_eq!(data[0][0], "Berlin");
         assert_eq!(s.header_row().unwrap()[1], "2019");
+    }
+
+    #[test]
+    fn header_row_falls_back_to_majority_header_cells() {
+        // No line is classified `header`. Row 1 holds 1 header cell of 3
+        // (a minority); row 2 holds 2 of 4, and the tie counts.
+        use ElementClass::*;
+        let build = |headers: &[(usize, usize)]| {
+            let table = Table::from_rows(vec![
+                vec!["Report", "", "", ""],
+                vec!["a", "b", "c", ""],
+                vec!["State", "2019", "2020", "2021"],
+                vec!["Berlin", "1", "2", "3"],
+            ]);
+            let mut cells = Vec::new();
+            for row in 0..table.n_rows() {
+                for col in (0..table.n_cols()).filter(|&c| !table.cell(row, c).is_empty()) {
+                    let class = if headers.contains(&(row, col)) {
+                        Header
+                    } else {
+                        Data
+                    };
+                    let probs = vec![1.0 / 6.0; 6];
+                    cells.push(CellPrediction {
+                        row,
+                        col,
+                        class,
+                        probs,
+                    });
+                }
+            }
+            let lines = vec![Some(Metadata), Some(Data), Some(Data), Some(Data)];
+            let line_probs = vec![vec![1.0 / 6.0; 6]; 4];
+            Structure::new(Dialect::rfc4180(), table, lines, line_probs, cells)
+        };
+        let s = build(&[(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (3, 3)]);
+        assert_eq!(
+            s.header_row(),
+            Some(vec![
+                "State".into(),
+                "2019".into(),
+                "2020".into(),
+                "2021".into()
+            ])
+        );
+        assert_eq!(build(&[(1, 0)]).header_row(), None);
+        assert_eq!(build(&[]).header_row(), None);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! [`StreamClassifier`] classifies a byte stream of unknown length with
 //! peak memory proportional to the configured window, not to the input:
 //! the dialect is detected on a bounded prefix, bytes flow through the
-//! incremental UTF-8 validator and record-boundary tracker of
+//! incremental UTF-8 validator and record walker of
 //! [`strudel_dialect::stream`], and whenever a window's worth of
 //! complete records has accumulated the window is classified as an
 //! independent document (preferring to cut at blank-line table
-//! boundaries) and emitted — line classes, [`Structure`], and extracted
-//! relational tables — while its text is dropped from the buffer.
+//! boundaries) and emitted as a [`Structure`] while its text is dropped
+//! from the buffer.
 //!
 //! **Parity contract.** The output is a pure function of the byte
 //! stream and the [`StreamConfig`] — never of how the stream was
@@ -42,13 +42,12 @@
 //! so `max_line_bytes`/`max_quoted_field_bytes` fire as usual, but with
 //! unbounded limits such a record is buffered whole.
 
-use crate::extract::{to_relational, RelationalTable};
-use crate::json::dialect_json;
+use crate::json::structure_json;
 use crate::metrics::{Stage, StageTimer, StageTimings};
 use crate::pipeline::{Structure, Strudel};
 use std::time::{Duration, Instant};
-use strudel_dialect::stream::{RecordEnd, RecordTracker, Utf8Feeder};
-use strudel_dialect::{try_detect_dialect, try_scan_records_within, Dialect};
+use strudel_dialect::stream::{RecordTracker, Utf8Feeder};
+use strudel_dialect::{try_detect_dialect, try_scan_records_within, Dialect, RawRecord};
 use strudel_table::{Deadline, LimitKind, Limits, StrudelError};
 
 /// Default chunk size used by [`classify_reader`].
@@ -119,9 +118,6 @@ pub struct StreamWindow {
     pub end_byte: u64,
     /// The window classified as an independent document.
     pub structure: Structure,
-    /// Relational tables extracted from the window
-    /// ([`crate::to_relational`]).
-    pub tables: Vec<RelationalTable>,
     /// The window's post-BOM text, retained only when
     /// [`StreamConfig::capture_text`] is set; empty otherwise.
     pub text: String,
@@ -162,8 +158,10 @@ pub struct StreamClassifier<'m> {
     base: u64,
     /// Bytes of `buf` already walked by the tracker.
     buf_fed: usize,
-    /// Scratch for tracker output.
-    ends: Vec<RecordEnd>,
+    /// `(start, end, blank)` of each record the tracker completed,
+    /// processed after the walk because closing a window drains the
+    /// buffer the walk reads.
+    completed: Vec<(u64, u64, bool)>,
     /// Completed records in the window being accumulated.
     rows_in_window: usize,
     /// Global row index where the current window starts.
@@ -202,7 +200,7 @@ impl<'m> StreamClassifier<'m> {
             buf: String::new(),
             base: 0,
             buf_fed: 0,
-            ends: Vec::new(),
+            completed: Vec::new(),
             rows_in_window: 0,
             first_row: 0,
             n_windows: 0,
@@ -286,8 +284,11 @@ impl<'m> StreamClassifier<'m> {
         }
 
         // Multi-window: flush the tracker and close the final window.
+        // The flushed unterminated record ends at the end of the
+        // stream, so whether its boundary or the close below cuts the
+        // last window, that window ends there.
         if let Some(tracker) = self.tracker.as_mut() {
-            tracker.finish(&mut self.ends);
+            tracker.finish(|r| self.completed.push(bounds(r)));
         }
         let adv = self.advance();
         self.guard(adv)?;
@@ -341,7 +342,6 @@ impl<'m> StreamClassifier<'m> {
         self.timings.record_stream_windows(1);
         let dialect = structure.dialect;
         let n_rows = structure.table.n_rows();
-        let tables = to_relational(&structure);
         let end_byte = self.buf.len() as u64;
         let text = if self.config.capture_text {
             std::mem::take(&mut self.buf)
@@ -354,7 +354,6 @@ impl<'m> StreamClassifier<'m> {
             start_byte: 0,
             end_byte,
             structure,
-            tables,
             text,
         });
         self.n_windows = 1;
@@ -395,8 +394,8 @@ impl<'m> StreamClassifier<'m> {
         Ok(())
     }
 
-    /// Feed newly decoded text to the tracker and process its record
-    /// ends: count rows, enforce the whole-stream byte cap, and close
+    /// Feed newly decoded text to the tracker and process its completed
+    /// records: count rows, enforce the whole-stream byte cap, and close
     /// windows per the blank-boundary rule.
     fn advance(&mut self) -> Result<(), StrudelError> {
         let Some(tracker) = self.tracker.as_mut() else {
@@ -404,25 +403,27 @@ impl<'m> StreamClassifier<'m> {
         };
         let t0 = Instant::now();
         if self.buf_fed < self.buf.len() {
-            tracker.feed(&self.buf[self.buf_fed..], &mut self.ends);
+            tracker.feed(&self.buf[self.buf_fed..], |r| {
+                self.completed.push(bounds(r))
+            });
             self.buf_fed = self.buf.len();
         }
         let incomplete_start = tracker.record_start() as u64;
-        let mut ends = std::mem::take(&mut self.ends);
+        let mut completed = std::mem::take(&mut self.completed);
         self.stream_time += t0.elapsed();
         let mut result = Ok(());
-        for e in ends.drain(..) {
+        for (start, end, blank) in completed.drain(..) {
             // The guard runs before the boundary is processed: in a
             // byte-at-a-time feed its thresholds are crossed while the
             // record is still incomplete, i.e. before its end exists.
             result = self
-                .guard_record(e.start as u64, e.after as u64)
-                .and_then(|()| self.record_boundary(e));
+                .guard_record(start, end)
+                .and_then(|()| self.record_boundary(end, blank));
             if result.is_err() {
                 break;
             }
         }
-        self.ends = ends;
+        self.completed = completed;
         result?;
         self.guard_record(incomplete_start, self.base + self.buf.len() as u64)
     }
@@ -459,16 +460,17 @@ impl<'m> StreamClassifier<'m> {
         Ok(())
     }
 
-    /// One completed record: row bookkeeping, stream cap, window close.
-    fn record_boundary(&mut self, e: RecordEnd) -> Result<(), StrudelError> {
+    /// One completed record ending at `end`: row bookkeeping, stream
+    /// cap, window close.
+    fn record_boundary(&mut self, end: u64, blank: bool) -> Result<(), StrudelError> {
         self.rows_in_window += 1;
-        check_total_bytes(e.after as u64, self.config.max_total_bytes)?;
-        let local = (e.after as u64 - self.base) as usize;
+        check_total_bytes(end, self.config.max_total_bytes)?;
+        let local = (end - self.base) as usize;
         let soft =
             self.rows_in_window >= self.config.window_rows || local >= self.config.window_bytes;
         let hard = self.rows_in_window >= self.config.window_rows.saturating_mul(2)
             || local >= self.config.window_bytes.saturating_mul(2);
-        if (soft && e.is_blank()) || hard {
+        if (soft && blank) || hard {
             self.close_window(local)?;
         }
         Ok(())
@@ -487,7 +489,6 @@ impl<'m> StreamClassifier<'m> {
         )?;
         let t0 = Instant::now();
         self.timings.record_stream_windows(1);
-        let tables = to_relational(&structure);
         let n_rows = structure.table.n_rows();
         let text = if self.config.capture_text {
             self.buf[..upto].to_string()
@@ -500,7 +501,6 @@ impl<'m> StreamClassifier<'m> {
             start_byte: self.base,
             end_byte: self.base + upto as u64,
             structure,
-            tables,
             text,
         });
         self.n_windows += 1;
@@ -535,6 +535,12 @@ impl<'m> StreamClassifier<'m> {
         }
         r
     }
+}
+
+/// What the window logic reads of a walked record: where it starts,
+/// where the next one starts, and whether it is blank.
+fn bounds(r: &RawRecord) -> (u64, u64, bool) {
+    (r.span().start as u64, r.end() as u64, r.is_blank())
 }
 
 /// The whole-stream byte cap (post-BOM), shared by the record-boundary
@@ -587,57 +593,11 @@ pub fn classify_reader<R: std::io::Read>(
 /// makes `detect --stream --json` equal to `detect --json` on every
 /// input that fits in one window.
 pub fn stream_to_json(windows: &[StreamWindow]) -> String {
-    use std::fmt::Write;
-    let dialect = windows
-        .first()
-        .map(|w| w.structure.dialect)
-        .unwrap_or_else(Dialect::rfc4180);
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"dialect\": {},", dialect_json(&dialect)).unwrap();
-    let n_rows: usize = windows.iter().map(|w| w.structure.table.n_rows()).sum();
-    let n_cols: usize = windows
+    let parts: Vec<(usize, &Structure)> = windows
         .iter()
-        .map(|w| w.structure.table.n_cols())
-        .max()
-        .unwrap_or(0);
-    writeln!(out, "  \"n_rows\": {n_rows},").unwrap();
-    writeln!(out, "  \"n_cols\": {n_cols},").unwrap();
-    let lines: Vec<String> = windows
-        .iter()
-        .flat_map(|w| w.structure.lines.iter())
-        .map(|l| match l {
-            Some(c) => format!("\"{}\"", c.name()),
-            None => "null".to_string(),
-        })
+        .map(|w| (w.first_row, &w.structure))
         .collect();
-    writeln!(out, "  \"lines\": [{}],", lines.join(", ")).unwrap();
-    let cells: Vec<String> = windows
-        .iter()
-        .flat_map(|w| {
-            w.structure
-                .cells
-                .iter()
-                .filter(|cell| Some(cell.class) != w.structure.lines[cell.row])
-                .map(|cell| {
-                    format!(
-                        "    {{\"row\": {}, \"col\": {}, \"class\": \"{}\"}}",
-                        w.first_row + cell.row,
-                        cell.col,
-                        cell.class.name()
-                    )
-                })
-        })
-        .collect();
-    if cells.is_empty() {
-        out.push_str("  \"cells\": []\n");
-    } else {
-        out.push_str("  \"cells\": [\n");
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ]\n");
-    }
-    out.push('}');
-    out
+    structure_json(&parts)
 }
 
 #[cfg(test)]
@@ -698,7 +658,6 @@ mod tests {
                 assert_eq!(windows.len(), 1);
                 assert_eq!(stream_to_json(&windows), whole.to_json(), "chunk={chunk}");
                 assert_eq!(windows[0].structure.to_json(), whole.to_json());
-                assert_eq!(windows[0].tables, to_relational(&whole));
             }
         }
     }
@@ -783,7 +742,6 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(w.structure.to_json(), oracle.to_json());
-            assert_eq!(w.tables, to_relational(&oracle));
             next_start = w.end_byte;
             next_row += w.structure.table.n_rows();
         }

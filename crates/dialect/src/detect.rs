@@ -80,19 +80,7 @@ pub fn try_detect_dialect(
             });
         }
     }
-    let mut best: Option<ScoredDialect> = None;
-    for dialect in candidate_dialects(sample) {
-        deadline.check()?;
-        let scored = score_dialect(sample, &dialect);
-        let better = match &best {
-            None => true,
-            Some(b) => scored.score > b.score + 1e-12,
-        };
-        if better {
-            best = Some(scored);
-        }
-    }
-    Ok(best.map_or(Dialect::rfc4180(), |b| b.dialect))
+    Ok(best_scored(sample, deadline)?.dialect)
 }
 
 /// Maximum number of lines inspected by the detector.
@@ -101,9 +89,16 @@ pub const DETECTION_LINE_BUDGET: usize = 200;
 /// Detect the dialect and report its scores (used by tests and by the
 /// Mendeley experiments, which need to know when detection is unreliable).
 pub fn best_dialect(text: &str) -> ScoredDialect {
-    let sample = sample_lines(text, DETECTION_LINE_BUDGET);
+    best_scored(sample_lines(text, DETECTION_LINE_BUDGET), Deadline::none())
+        .expect("detection without a deadline cannot fail")
+}
+
+/// The one scoring loop: score every candidate of `sample`, polling
+/// `deadline` between candidates, and keep the best.
+fn best_scored(sample: &str, deadline: Deadline) -> Result<ScoredDialect, StrudelError> {
     let mut best: Option<ScoredDialect> = None;
     for dialect in candidate_dialects(sample) {
+        deadline.check()?;
         let scored = score_dialect(sample, &dialect);
         let better = match &best {
             None => true,
@@ -116,12 +111,12 @@ pub fn best_dialect(text: &str) -> ScoredDialect {
             best = Some(scored);
         }
     }
-    best.unwrap_or(ScoredDialect {
+    Ok(best.unwrap_or(ScoredDialect {
         dialect: Dialect::rfc4180(),
         pattern_score: 0.0,
         type_score: 0.0,
         score: 0.0,
-    })
+    }))
 }
 
 fn sample_lines(text: &str, budget: usize) -> &str {

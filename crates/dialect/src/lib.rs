@@ -33,17 +33,17 @@ pub use detect::{
     CANDIDATE_DELIMITERS, CANDIDATE_QUOTES, DETECTION_LINE_BUDGET,
 };
 pub use dialect::Dialect;
-pub use parser::{parse, try_parse, try_parse_within};
+pub use parser::{parse, try_parse};
 pub use raw::{raw_records, RawRecord, Terminator};
-pub use scan::{scan_records, try_scan_records, try_scan_records_within, RecordRef, RecordsRef};
-pub use stream::{RecordEnd, RecordTracker, Utf8Feeder};
+pub use scan::{scan_records, try_scan_records_within, RecordRef, RecordsRef};
+pub use stream::{RecordTracker, Utf8Feeder};
 pub use write::{write_delimited, write_field};
 
 // Re-export the shared error/limit types so downstream crates can use
 // the fallible API without a direct `strudel-table` dependency.
 pub use strudel_table::{Deadline, LimitKind, Limits, StrudelError};
 
-use strudel_table::{Cell, CellRef, Table, TableRef};
+use strudel_table::{CellRef, Table, TableRef};
 
 /// The UTF-8 byte-order mark, as emitted by Excel's "CSV UTF-8" export.
 pub const UTF8_BOM: char = '\u{FEFF}';
@@ -71,36 +71,17 @@ pub fn read_table(text: &str) -> (Table, Dialect) {
 /// Parse `text` under a known dialect and build a [`Table`]. A leading
 /// UTF-8 BOM is stripped.
 ///
-/// The grid is built directly from the zero-copy scanner output: cells
-/// are constructed straight from borrowed field slices, without the
-/// intermediate owned `Vec<Vec<String>>` of [`parse`].
+/// The grid is the borrowed one the pipeline classifies, materialised:
+/// each cell is inferred once on its borrowed field slice and then
+/// owned, without the intermediate `Vec<Vec<String>>` of [`parse`].
 pub fn read_table_with(text: &str, dialect: &Dialect) -> Table {
-    table_from_records(&scan_records(strip_bom(text), dialect))
-}
-
-/// Assemble the padded cell grid from borrowed records.
-fn table_from_records(records: &RecordsRef<'_>) -> Table {
-    let n_rows = records.n_records();
-    let n_cols = records.iter().map(|r| r.len()).max().unwrap_or(0);
-    let mut cells = Vec::with_capacity(n_rows * n_cols);
-    for rec in records.iter() {
-        let len = rec.len();
-        for field in rec.iter() {
-            cells.push(Cell::new(field));
-        }
-        for _ in len..n_cols {
-            cells.push(Cell::empty());
-        }
-    }
-    Table::from_cell_grid(cells, n_rows, n_cols)
+    table_ref_from_records(&scan_records(strip_bom(text), dialect)).into_table()
 }
 
 /// Assemble the padded **borrowed** cell grid from borrowed records:
 /// field values stay `Cow` slices of the input buffer (owned only for
-/// unescaped fields), so no cell text is copied. The borrowed
-/// counterpart of the owned grid [`read_table_with`] builds, with
-/// identical padding and identical inference per cell.
-pub fn table_ref_from_records<'a>(records: &RecordsRef<'a>) -> TableRef<'a> {
+/// unescaped fields), so no cell text is copied.
+fn table_ref_from_records<'a>(records: &RecordsRef<'a>) -> TableRef<'a> {
     let n_rows = records.n_records();
     let n_cols = records.iter().map(|r| r.len()).max().unwrap_or(0);
     let mut cells = Vec::with_capacity(n_rows * n_cols);
@@ -134,6 +115,9 @@ pub fn try_read_table_ref_with<'a>(
 ) -> Result<(TableRef<'a>, RecordsRef<'a>), StrudelError> {
     let records = try_scan_records_within(strip_bom(text), dialect, limits, deadline)?;
     deadline.check()?;
+    // The scanner bounds streamed rows/cols/cells, but the *padded* grid
+    // (rows × widest row) can still exceed the cell bound — check the
+    // implied dimensions before allocating.
     let n_rows = records.n_records();
     let n_cols = records.iter().map(|r| r.len()).max().unwrap_or(0);
     Table::check_grid_limits(n_rows, n_cols, limits)?;
@@ -156,50 +140,6 @@ pub fn decode_utf8(bytes: &[u8]) -> Result<&str, StrudelError> {
             reason: "invalid UTF-8".to_string(),
         }
     })
-}
-
-/// [`read_table`] under [`Limits`] and a wall-clock [`Deadline`]: dialect
-/// detection, guarded parsing, and guarded grid construction. Every
-/// failure is a typed [`StrudelError`]; valid input within the limits
-/// yields exactly the table and dialect of the unbounded entry point.
-pub fn try_read_table(
-    text: &str,
-    limits: &Limits,
-    deadline: Deadline,
-) -> Result<(Table, Dialect), StrudelError> {
-    let text = strip_bom(text);
-    if let Some(max) = limits.max_input_bytes {
-        if text.len() as u64 > max {
-            return Err(StrudelError::limit(
-                LimitKind::InputBytes,
-                text.len() as u64,
-                max,
-            ));
-        }
-    }
-    let dialect = try_detect_dialect(text, limits, deadline)?;
-    deadline.check()?;
-    let table = try_read_table_with(text, &dialect, limits, deadline)?;
-    Ok((table, dialect))
-}
-
-/// [`read_table_with`] under [`Limits`] and a wall-clock [`Deadline`].
-pub fn try_read_table_with(
-    text: &str,
-    dialect: &Dialect,
-    limits: &Limits,
-    deadline: Deadline,
-) -> Result<Table, StrudelError> {
-    let records = try_scan_records_within(strip_bom(text), dialect, limits, deadline)?;
-    deadline.check()?;
-    // The scanner bounds streamed rows/cols/cells, but the *padded* grid
-    // (rows × widest row) can still exceed the cell bound — check the
-    // implied dimensions before allocating, exactly as
-    // [`Table::try_from_rows`] does.
-    let n_rows = records.n_records();
-    let n_cols = records.iter().map(|r| r.len()).max().unwrap_or(0);
-    Table::check_grid_limits(n_rows, n_cols, limits)?;
-    Ok(table_from_records(&records))
 }
 
 #[cfg(test)]

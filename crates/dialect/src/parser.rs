@@ -12,15 +12,15 @@
 //! borrowed records are materialised into the historical
 //! `Vec<Vec<String>>` shape for callers that want owned rows. New code
 //! that only needs to *look* at fields should call
-//! [`crate::scan_records`] / [`crate::try_scan_records`] directly and
+//! [`crate::scan_records`] / [`crate::try_scan_records_within`] directly and
 //! skip the per-field allocations.
 //!
 //! [`try_parse`] is the guarded entry point: it enforces [`Limits`] (input
 //! size, physical line length, rows, columns, cells, quoted-field length)
-//! and an optional wall-clock [`Deadline`] while parsing, so a
-//! pathological input fails with a typed [`StrudelError`] instead of
-//! exhausting memory or stalling. [`parse`] is the unbounded entry
-//! point; it cannot fail.
+//! while parsing, so a pathological input fails with a typed
+//! [`StrudelError`] instead of exhausting memory; the wall-clock
+//! [`Deadline`] form is [`crate::try_scan_records_within`]. [`parse`] is
+//! the unbounded entry point; it cannot fail.
 
 use crate::dialect::Dialect;
 use crate::scan::try_scan_records_within;
@@ -36,8 +36,7 @@ use strudel_table::{Deadline, Limits, StrudelError};
 pub fn parse(text: &str, dialect: &Dialect) -> Vec<Vec<String>> {
     // With unbounded limits and no deadline, no error path of the guarded
     // parser is reachable.
-    try_parse_within(text, dialect, &Limits::unbounded(), Deadline::none())
-        .expect("unbounded parse cannot fail")
+    try_parse(text, dialect, &Limits::unbounded()).expect("unbounded parse cannot fail")
 }
 
 /// [`parse`] with [`Limits`] enforced while parsing.
@@ -51,19 +50,7 @@ pub fn try_parse(
     dialect: &Dialect,
     limits: &Limits,
 ) -> Result<Vec<Vec<String>>, StrudelError> {
-    try_parse_within(text, dialect, limits, Deadline::none())
-}
-
-/// [`try_parse`] with an explicit wall-clock [`Deadline`], polled once
-/// per block of scanned input. Used by the batch engine's per-file
-/// budget.
-pub fn try_parse_within(
-    text: &str,
-    dialect: &Dialect,
-    limits: &Limits,
-    deadline: Deadline,
-) -> Result<Vec<Vec<String>>, StrudelError> {
-    Ok(try_scan_records_within(text, dialect, limits, deadline)?.to_owned_rows())
+    Ok(try_scan_records_within(text, dialect, limits, Deadline::none())?.to_owned_rows())
 }
 
 #[cfg(test)]
@@ -284,8 +271,9 @@ mod tests {
         let text = "a,b\n".repeat(crate::scan::DEADLINE_CHECK_BYTES / 2);
         let deadline = Deadline::after(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let err = try_parse_within(&text, &Dialect::rfc4180(), &Limits::unbounded(), deadline)
-            .unwrap_err();
+        let err =
+            try_scan_records_within(&text, &Dialect::rfc4180(), &Limits::unbounded(), deadline)
+                .unwrap_err();
         assert!(matches!(
             err,
             StrudelError::LimitExceeded {

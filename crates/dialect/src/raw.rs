@@ -10,10 +10,12 @@
 //! `join(fields, delimiter) + terminator` per record reproduces the
 //! input byte for byte, quoting quirks and all.
 //!
-//! [`raw_records`] walks the input with the same state machine as the
-//! retained legacy parser ([`crate::legacy`]) — the canonical
-//! formulation of the forgiving RFC 4180 semantics — but records only
-//! byte ranges and terminators, allocating nothing per field beyond the
+//! [`raw_records`] runs the crate's one record walker,
+//! [`RecordTracker`] — the chunk-resumable port of the retained legacy
+//! parser's state machine ([`crate::legacy`], the canonical formulation
+//! of the forgiving RFC 4180 semantics) that also cuts the streaming
+//! classifier's windows — over the whole text. It records only byte
+//! ranges and terminators, allocating nothing per field beyond the
 //! range itself. The central invariant (property-tested and relied on
 //! by `strudel-pack`):
 //!
@@ -30,6 +32,7 @@
 //! treat out-of-range records as unclassified.
 
 use crate::dialect::Dialect;
+use crate::stream::RecordTracker;
 use std::ops::Range;
 
 /// How a record was terminated on the wire.
@@ -90,132 +93,38 @@ pub struct RawRecord {
     pub term: Terminator,
 }
 
+impl RawRecord {
+    /// Byte range of the record's content: from its first field's start
+    /// to its last field's end, delimiters included, terminator
+    /// excluded.
+    ///
+    /// # Panics
+    /// Panics on a record with no fields (the walker never reports one).
+    pub fn span(&self) -> Range<usize> {
+        self.fields[0].start..self.fields[self.fields.len() - 1].end
+    }
+
+    /// One past the terminator — where the next record starts.
+    pub fn end(&self) -> usize {
+        self.span().end + self.term.as_str().len()
+    }
+
+    /// Whether the record has no content at all (an empty line). The
+    /// streaming classifier treats blank records as table boundaries.
+    pub fn is_blank(&self) -> bool {
+        self.span().is_empty()
+    }
+}
+
 /// Walk `text` under `dialect` and return the byte-exact geometry of
 /// every record. Never fails: malformed input degrades exactly like the
 /// legacy parser (an unterminated quote swallows the rest of the file
 /// into the final field).
 pub fn raw_records(text: &str, dialect: &Dialect) -> Vec<RawRecord> {
-    let mut records: Vec<RawRecord> = Vec::new();
-    let mut fields: Vec<Range<usize>> = Vec::new();
-    let mut field_start: usize = 0;
-    let mut chars = text.char_indices().peekable();
-
-    #[derive(PartialEq)]
-    enum State {
-        FieldStart,
-        Unquoted,
-        Quoted,
-        QuoteInQuoted,
-    }
-    let mut state = State::FieldStart;
-
-    // `end` is the exclusive byte offset of the field being closed;
-    // `next` is where the following field begins.
-    macro_rules! end_field {
-        ($end:expr, $next:expr) => {{
-            fields.push(field_start..$end);
-            field_start = $next;
-            state = State::FieldStart;
-        }};
-    }
-    macro_rules! end_record {
-        ($end:expr, $next:expr, $term:expr) => {{
-            end_field!($end, $next);
-            records.push(RawRecord {
-                fields: std::mem::take(&mut fields),
-                term: $term,
-            });
-        }};
-    }
-
-    while let Some((idx, ch)) = chars.next() {
-        match state {
-            State::FieldStart => {
-                if Some(ch) == dialect.quote {
-                    state = State::Quoted;
-                } else if ch == dialect.delimiter {
-                    end_field!(idx, idx + ch.len_utf8());
-                } else if ch == '\n' {
-                    end_record!(idx, idx + 1, Terminator::Lf);
-                } else if ch == '\r' {
-                    if chars.peek().map(|&(_, c)| c) == Some('\n') {
-                        chars.next();
-                        end_record!(idx, idx + 2, Terminator::CrLf);
-                    } else {
-                        end_record!(idx, idx + 1, Terminator::Cr);
-                    }
-                } else if Some(ch) == dialect.escape {
-                    chars.next();
-                    state = State::Unquoted;
-                } else {
-                    state = State::Unquoted;
-                }
-            }
-            State::Unquoted => {
-                if ch == dialect.delimiter {
-                    end_field!(idx, idx + ch.len_utf8());
-                } else if ch == '\n' {
-                    end_record!(idx, idx + 1, Terminator::Lf);
-                } else if ch == '\r' {
-                    if chars.peek().map(|&(_, c)| c) == Some('\n') {
-                        chars.next();
-                        end_record!(idx, idx + 2, Terminator::CrLf);
-                    } else {
-                        end_record!(idx, idx + 1, Terminator::Cr);
-                    }
-                } else if Some(ch) == dialect.escape {
-                    chars.next();
-                }
-            }
-            State::Quoted => {
-                if Some(ch) == dialect.quote {
-                    state = State::QuoteInQuoted;
-                } else if Some(ch) == dialect.escape {
-                    chars.next();
-                }
-            }
-            State::QuoteInQuoted => {
-                if Some(ch) == dialect.quote {
-                    // Doubled quote: literal quote character.
-                    state = State::Quoted;
-                } else if ch == dialect.delimiter {
-                    end_field!(idx, idx + ch.len_utf8());
-                } else if ch == '\n' {
-                    end_record!(idx, idx + 1, Terminator::Lf);
-                } else if ch == '\r' {
-                    if chars.peek().map(|&(_, c)| c) == Some('\n') {
-                        chars.next();
-                        end_record!(idx, idx + 2, Terminator::CrLf);
-                    } else {
-                        end_record!(idx, idx + 1, Terminator::Cr);
-                    }
-                } else {
-                    // Stray content after a closing quote stays in the
-                    // field; the file is malformed but we stay total.
-                    state = State::Unquoted;
-                }
-            }
-        }
-    }
-
-    // Flush a trailing record without a final newline, under the legacy
-    // flush rule (a quote state at EOF still denotes a field, even an
-    // empty one) — strengthened to flush whenever raw bytes are pending,
-    // so the tiling invariant holds byte-for-byte. The two rules differ
-    // only when the input ends in a lone escape character right after a
-    // record boundary (the value parsers drop that byte entirely); the
-    // raw walker keeps it as one extra single-field record.
-    if field_start < text.len()
-        || !fields.is_empty()
-        || state == State::Quoted
-        || state == State::QuoteInQuoted
-    {
-        fields.push(field_start..text.len());
-        records.push(RawRecord {
-            fields,
-            term: Terminator::None,
-        });
-    }
+    let mut tracker = RecordTracker::new(*dialect);
+    let mut records = Vec::new();
+    tracker.feed(text, |r| records.push(r.clone()));
+    tracker.finish(|r| records.push(r.clone()));
     records
 }
 
@@ -276,26 +185,75 @@ mod tests {
         assert_eq!(reassemble(text, &rfc(), &records), text);
     }
 
+    /// Every dialect shape of `tests/parity.rs` and more: four
+    /// delimiters (one multi-byte) × five quotes × four escapes,
+    /// including the degenerate collisions (quote or escape equal to
+    /// the delimiter, escape equal to the quote).
+    fn dialect_shapes() -> impl Iterator<Item = Dialect> {
+        let quotes = [None, Some('"'), Some('\''), Some(','), Some('\u{00AB}')];
+        let escapes = [None, Some('\\'), Some('"'), Some(',')];
+        [',', ';', '\t', '\u{00A7}']
+            .into_iter()
+            .flat_map(move |delimiter| {
+                quotes.into_iter().flat_map(move |quote| {
+                    escapes.into_iter().map(move |escape| Dialect {
+                        delimiter,
+                        quote,
+                        escape,
+                    })
+                })
+            })
+    }
+
+    /// A raw field's value: the field parsed on its own, as
+    /// `strudel_pack` reads it back (empty when nothing parses).
+    fn field_value(raw: &str, dialect: &Dialect) -> String {
+        crate::parse(raw, dialect)
+            .into_iter()
+            .next()
+            .and_then(|record| record.into_iter().next())
+            .unwrap_or_default()
+    }
+
+    /// The raw geometry of `input` tiles it, and matches the legacy
+    /// parser record for record and field for field — every raw field
+    /// parses on its own to the legacy value. The one exception is the
+    /// documented lone trailing escape, an extra raw record that the
+    /// value parsers drop.
+    fn assert_geometry_matches_legacy(input: &str, dialect: &Dialect) {
+        let raw = raw_records(input, dialect);
+        assert_eq!(
+            reassemble(input, dialect, &raw),
+            input,
+            "tiling for {input:?} under {dialect:?}"
+        );
+        let parsed = parse_legacy(input, dialect);
+        let compared = match raw.split_last() {
+            Some((last, rest))
+                if rest.len() == parsed.len()
+                    && dialect.escape.map(String::from).as_deref() == Some(&input[last.span()]) =>
+            {
+                rest
+            }
+            _ => &raw[..],
+        };
+        assert_eq!(
+            compared.len(),
+            parsed.len(),
+            "record count for {input:?} under {dialect:?}"
+        );
+        for (r, p) in compared.iter().zip(&parsed) {
+            let values: Vec<String> = r
+                .fields
+                .iter()
+                .map(|f| field_value(&input[f.clone()], dialect))
+                .collect();
+            assert_eq!(&values, p, "field values for {input:?} under {dialect:?}");
+        }
+    }
+
     #[test]
     fn geometry_matches_legacy_record_and_field_counts() {
-        let dialects = [
-            rfc(),
-            Dialect {
-                delimiter: ';',
-                quote: Some('"'),
-                escape: None,
-            },
-            Dialect {
-                delimiter: '\t',
-                quote: None,
-                escape: Some('\\'),
-            },
-            Dialect {
-                delimiter: ',',
-                quote: Some('\''),
-                escape: Some('\\'),
-            },
-        ];
         let inputs = [
             "",
             "\n",
@@ -309,28 +267,29 @@ mod tests {
             "esc\\,aped,next\n",
             "'q;x',y\n",
             "päö,ü\n",
+            "a\n\\",
+            "a,",
+            "\"q\\\",x\"\n",
+            "\"a\"\"b\",\"c\"d\r\ne\\\r\nf",
         ];
-        for dialect in &dialects {
+        for dialect in dialect_shapes() {
             for input in inputs {
-                let raw = raw_records(input, dialect);
-                let parsed = parse_legacy(input, dialect);
-                assert_eq!(
-                    raw.len(),
-                    parsed.len(),
-                    "record count for {input:?} under {dialect:?}"
-                );
-                for (r, p) in raw.iter().zip(&parsed) {
-                    assert_eq!(
-                        r.fields.len(),
-                        p.len(),
-                        "field count for {input:?} under {dialect:?}"
-                    );
-                }
-                assert_eq!(
-                    reassemble(input, dialect, &raw),
-                    input,
-                    "tiling for {input:?} under {dialect:?}"
-                );
+                assert_geometry_matches_legacy(input, &dialect);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The same on arbitrary text: structural characters of every
+        /// dialect shape over-weighted, multi-byte ones included.
+        #[test]
+        fn geometry_matches_legacy_on_arbitrary_text(
+            text in "[-a-z0-9,;\"\\\\\t\n\r '\u{00A7}\u{00AB}]{0,64}",
+        ) {
+            for dialect in dialect_shapes() {
+                assert_geometry_matches_legacy(&text, &dialect);
             }
         }
     }

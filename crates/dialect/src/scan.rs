@@ -60,7 +60,7 @@ struct FieldSpan {
 /// The zero-copy result of scanning one input: records of field spans
 /// borrowed from the input buffer.
 ///
-/// Produced by [`scan_records`] / [`try_scan_records`]. Field values are
+/// Produced by [`scan_records`] / [`try_scan_records_within`]. Field values are
 /// materialised on demand as [`Cow`]s — borrowed for clean fields, owned
 /// only for fields that required unescaping.
 #[derive(Debug, Clone)]
@@ -180,16 +180,8 @@ pub fn scan_records<'a>(text: &'a str, dialect: &Dialect) -> RecordsRef<'a> {
         .expect("unbounded scan cannot fail")
 }
 
-/// [`scan_records`] with [`Limits`] enforced while scanning.
-pub fn try_scan_records<'a>(
-    text: &'a str,
-    dialect: &Dialect,
-    limits: &Limits,
-) -> Result<RecordsRef<'a>, StrudelError> {
-    try_scan_records_within(text, dialect, limits, Deadline::none())
-}
-
-/// [`try_scan_records`] with an explicit wall-clock [`Deadline`].
+/// [`scan_records`] with [`Limits`] enforced while scanning and an
+/// explicit wall-clock [`Deadline`].
 pub fn try_scan_records_within<'a>(
     text: &'a str,
     dialect: &Dialect,
@@ -1155,7 +1147,7 @@ mod tests {
         let text = "a\nb\nc\n";
         let (a, b) = (
             try_parse_legacy(text, &d, &limits).unwrap_err(),
-            try_scan_records(text, &d, &limits).unwrap_err(),
+            try_scan_records_within(text, &d, &limits, Deadline::none()).unwrap_err(),
         );
         match (a, b) {
             (
@@ -1188,7 +1180,7 @@ mod tests {
         limits.max_line_bytes = Some(8);
         let text = format!("{}\n", "x".repeat(32));
         let a = try_parse_legacy(&text, &d, &limits).unwrap_err();
-        let b = try_scan_records(&text, &d, &limits).unwrap_err();
+        let b = try_scan_records_within(&text, &d, &limits, Deadline::none()).unwrap_err();
         assert_eq!(format!("{a}"), format!("{b}"));
     }
 

@@ -1,18 +1,20 @@
 //! Incremental streaming substrate: chunk-resumable UTF-8 validation
-//! and record-boundary tracking.
+//! and record walking.
 //!
 //! The `strudel` streaming classifier feeds arbitrary byte chunks
 //! through [`Utf8Feeder`] (BOM stripping plus incremental UTF-8
 //! validation with error payloads identical to [`crate::decode_utf8`]
 //! on the concatenated stream) and walks the decoded text through
-//! [`RecordTracker`], a boundary-only port of the scalar record
-//! scanner: it reports where records end — and nothing else — so a
-//! bounded window of text can be sliced at exact record boundaries and
-//! re-parsed by the full scanner. Both carry their state across
-//! arbitrary chunk splits: the output is a pure function of the byte
-//! stream, never of how it was chunked.
+//! [`RecordTracker`], the one record walker of this crate: it reports
+//! every record's raw field ranges and terminator, so a bounded window
+//! of text can be sliced at exact record boundaries and re-parsed by
+//! the full scanner, and [`raw_records`](crate::raw_records) gets the
+//! byte-exact geometry the packed container stores. Both carry their
+//! state across arbitrary chunk splits: the output is a pure function
+//! of the byte stream, never of how it was chunked.
 
 use crate::dialect::Dialect;
+use crate::raw::{RawRecord, Terminator};
 use strudel_table::StrudelError;
 
 const BOM_BYTES: [u8; 3] = [0xEF, 0xBB, 0xBF];
@@ -139,27 +141,7 @@ impl Utf8Feeder {
     }
 }
 
-/// One completed record reported by [`RecordTracker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordEnd {
-    /// Post-BOM byte offset of the record's first byte.
-    pub start: usize,
-    /// Post-BOM byte offset of the terminator character.
-    pub terminator: usize,
-    /// One past the terminator, consuming the `\n` of a `\r\n` pair —
-    /// the next record starts here.
-    pub after: usize,
-}
-
-impl RecordEnd {
-    /// Whether the record has no content at all (an empty line) — the
-    /// window-closing heuristic treats blank records as table
-    /// boundaries.
-    pub fn is_blank(&self) -> bool {
-        self.terminator == self.start
-    }
-}
-
+/// One state of the record walker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     FieldStart,
@@ -168,23 +150,33 @@ enum State {
     QuoteInQuoted,
 }
 
-/// Chunk-resumable record-boundary walker.
+/// The chunk-resumable record walker: the one state machine behind
+/// both the streaming classifier's record cuts and the raw field
+/// geometry of [`raw_records`](crate::raw_records).
 ///
-/// A port of the scalar record scanner's state machine that keeps only
-/// what boundary detection needs: the quoting state, the
-/// escape-consumes-next-character rule, and the deferred `\r`/`\r\n`
-/// pair decision. Feeding the same text in any chunking produces the
-/// same [`RecordEnd`]s, and slicing the input at any reported `after`
-/// offset splits it into independently parseable record runs (the
-/// scanner restarts at `FieldStart` exactly as this walker does).
+/// It walks the legacy parser's four-state machine ([`crate::legacy`])
+/// with the same branch order — escapes consume the next character,
+/// `\r\n` is one terminator, stray text after a closing quote stays in
+/// the field — but records only byte ranges: each completed record is
+/// lent to the caller as a [`RawRecord`] of raw field ranges (quotes
+/// and escapes included) plus its [`Terminator`]. The walker reuses one
+/// record buffer, so walking allocates nothing per record; callers copy
+/// out what they keep. The `\r`/`\r\n` decision is
+/// deferred to the next character, so feeding the same text in any
+/// chunking produces the same records, and slicing the input at any
+/// record's [`end`](RawRecord::end) splits it into independently
+/// parseable record runs (every parser restarts at `FieldStart`
+/// exactly as this walker does).
 #[derive(Debug)]
 pub struct RecordTracker {
     dialect: Dialect,
     state: State,
     /// Post-BOM byte offset of the next character.
     pos: usize,
-    /// Post-BOM byte offset where the current record began.
-    record_start: usize,
+    /// Post-BOM byte offset where the current field began.
+    field_start: usize,
+    /// The current record: the raw ranges of its completed fields.
+    record: RawRecord,
     /// An escape character consumed the next character wholesale.
     skip_next: bool,
     /// A record-terminating `\r` at this offset awaits the pair
@@ -199,25 +191,27 @@ impl RecordTracker {
             dialect,
             state: State::FieldStart,
             pos: 0,
-            record_start: 0,
+            field_start: 0,
+            record: RawRecord {
+                fields: Vec::new(),
+                term: Terminator::None,
+            },
             skip_next: false,
             pending_cr: None,
         }
     }
 
-    /// Post-BOM byte offset of the next unprocessed character.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Post-BOM byte offset where the current (incomplete) record began.
     pub fn record_start(&self) -> usize {
-        self.record_start
+        self.record
+            .fields
+            .first()
+            .map_or(self.field_start, |f| f.start)
     }
 
-    /// Walk one decoded piece (pieces must arrive contiguous), pushing
-    /// every completed record into `out`.
-    pub fn feed(&mut self, piece: &str, out: &mut Vec<RecordEnd>) {
+    /// Walk one decoded piece (pieces must arrive contiguous), passing
+    /// every completed record to `on_record`.
+    pub fn feed(&mut self, piece: &str, mut on_record: impl FnMut(&RawRecord)) {
         for ch in piece.chars() {
             let idx = self.pos;
             self.pos += ch.len_utf8();
@@ -226,51 +220,76 @@ impl RecordTracker {
                 continue;
             }
             if let Some(cr) = self.pending_cr.take() {
-                let pair = ch == '\n';
-                self.end_record(cr, cr + 1 + usize::from(pair), out);
-                if pair {
+                if ch == '\n' {
+                    self.end_record(cr, cr + 2, Terminator::CrLf, &mut on_record);
                     continue;
                 }
                 // A bare `\r`: the current character opens the next
                 // record and is processed normally below.
+                self.end_record(cr, cr + 1, Terminator::Cr, &mut on_record);
             }
-            self.step(idx, ch, out);
+            self.step(idx, ch, &mut on_record);
         }
     }
 
-    /// Signal end of stream: a pending `\r` terminator is resolved as a
-    /// bare `\r`. The trailing unterminated record (if any) is the
-    /// caller's: it spans `record_start()..` of the streamed text.
-    pub fn finish(&mut self, out: &mut Vec<RecordEnd>) {
+    /// Signal end of input: a pending `\r` is resolved as a bare `\r`,
+    /// and an unterminated trailing record is flushed with
+    /// [`Terminator::None`].
+    ///
+    /// The flush follows the legacy parser's rule (a quote state at EOF
+    /// still denotes a field, even an empty one), strengthened to flush
+    /// whenever raw bytes are pending so the tiling invariant of
+    /// [`raw_records`](crate::raw_records) holds byte for byte. The two
+    /// rules differ only when the input ends in a lone escape character
+    /// right after a record boundary: the value parsers drop that byte,
+    /// the walker keeps it as one extra single-field record.
+    pub fn finish(&mut self, mut on_record: impl FnMut(&RawRecord)) {
         if let Some(cr) = self.pending_cr.take() {
-            self.end_record(cr, cr + 1, out);
+            self.end_record(cr, cr + 1, Terminator::Cr, &mut on_record);
+        }
+        if self.field_start < self.pos
+            || !self.record.fields.is_empty()
+            || matches!(self.state, State::Quoted | State::QuoteInQuoted)
+        {
+            self.end_record(self.pos, self.pos, Terminator::None, &mut on_record);
         }
     }
 
-    fn end_record(&mut self, terminator: usize, after: usize, out: &mut Vec<RecordEnd>) {
-        out.push(RecordEnd {
-            start: self.record_start,
-            terminator,
-            after,
-        });
-        self.record_start = after;
+    /// Close the current field at `end`; the next one starts at `next`.
+    fn end_field(&mut self, end: usize, next: usize) {
+        self.record.fields.push(self.field_start..end);
+        self.field_start = next;
         self.state = State::FieldStart;
     }
 
+    fn end_record(
+        &mut self,
+        end: usize,
+        next: usize,
+        term: Terminator,
+        on_record: &mut impl FnMut(&RawRecord),
+    ) {
+        self.end_field(end, next);
+        self.record.term = term;
+        on_record(&self.record);
+        self.record.fields.clear();
+    }
+
     /// One character through the state machine. Branch order within
-    /// each state matches the scalar scanner exactly, so exotic
-    /// dialects (a delimiter of `\r`, a quote of `\n`) resolve the same
-    /// way they do there.
-    fn step(&mut self, idx: usize, ch: char, out: &mut Vec<RecordEnd>) {
+    /// each state matches the legacy parser exactly, so exotic dialects
+    /// (a delimiter of `\r`, a quote of `\n`) resolve the same way they
+    /// do there.
+    fn step(&mut self, idx: usize, ch: char, on_record: &mut impl FnMut(&RawRecord)) {
         let d = self.dialect;
+        let next = idx + ch.len_utf8();
         match self.state {
             State::FieldStart => {
                 if Some(ch) == d.quote {
                     self.state = State::Quoted;
                 } else if ch == d.delimiter {
-                    // Field boundary; the next field starts at FieldStart.
+                    self.end_field(idx, next);
                 } else if ch == '\n' {
-                    self.end_record(idx, idx + 1, out);
+                    self.end_record(idx, next, Terminator::Lf, on_record);
                 } else if ch == '\r' {
                     self.pending_cr = Some(idx);
                 } else if Some(ch) == d.escape {
@@ -282,9 +301,9 @@ impl RecordTracker {
             }
             State::Unquoted => {
                 if ch == d.delimiter {
-                    self.state = State::FieldStart;
+                    self.end_field(idx, next);
                 } else if ch == '\n' {
-                    self.end_record(idx, idx + 1, out);
+                    self.end_record(idx, next, Terminator::Lf, on_record);
                 } else if ch == '\r' {
                     self.pending_cr = Some(idx);
                 } else if Some(ch) == d.escape {
@@ -300,14 +319,17 @@ impl RecordTracker {
             }
             State::QuoteInQuoted => {
                 if Some(ch) == d.quote {
+                    // Doubled quote: literal quote character.
                     self.state = State::Quoted;
                 } else if ch == d.delimiter {
-                    self.state = State::FieldStart;
+                    self.end_field(idx, next);
                 } else if ch == '\n' {
-                    self.end_record(idx, idx + 1, out);
+                    self.end_record(idx, next, Terminator::Lf, on_record);
                 } else if ch == '\r' {
                     self.pending_cr = Some(idx);
                 } else {
+                    // Stray content after a closing quote stays in the
+                    // field; the file is malformed but we stay total.
                     self.state = State::Unquoted;
                 }
             }
@@ -318,7 +340,7 @@ impl RecordTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_utf8, scan_records};
+    use crate::{decode_utf8, raw_records, scan_records};
 
     fn feed_all(chunks: &[&[u8]]) -> Result<(String, Utf8Feeder), StrudelError> {
         let mut feeder = Utf8Feeder::new();
@@ -371,36 +393,42 @@ mod tests {
         }
     }
 
-    /// Record ends must agree with the full scanner: slicing the text at
-    /// every reported `after` yields a prefix that parses to exactly the
-    /// first k records of the whole text.
+    /// Walked records must agree with the full scanner: slicing the
+    /// text at every record's `end()` yields a prefix that parses to
+    /// exactly the first k records of the whole text, and the walk is
+    /// chunk-invariant down to the raw field ranges — feeding the text
+    /// in 1-, 2-, 3- or 7-byte chunks gives exactly [`raw_records`] of
+    /// the whole text.
     fn check_ends(text: &str, dialect: &Dialect) {
         let whole = scan_records(text, dialect);
         let whole_lens: Vec<usize> = whole.iter().map(|r| r.len()).collect();
         for chunk in [1, 2, 3, 7, text.len().max(1)] {
             let mut tracker = RecordTracker::new(*dialect);
-            let mut ends = Vec::new();
+            let mut records = Vec::new();
             let mut fed = 0;
             while fed < text.len() {
                 let mut hi = (fed + chunk).min(text.len());
                 while !text.is_char_boundary(hi) {
                     hi += 1;
                 }
-                tracker.feed(&text[fed..hi], &mut ends);
+                tracker.feed(&text[fed..hi], |r| records.push(r.clone()));
                 fed = hi;
             }
-            tracker.finish(&mut ends);
-            for (i, e) in ends.iter().enumerate() {
-                assert!(e.after <= text.len());
-                let prefix = scan_records(&text[..e.after], dialect);
-                assert_eq!(prefix.n_records(), i + 1, "{text:?} end {i} {e:?}");
+            tracker.finish(|r| records.push(r.clone()));
+            assert_eq!(
+                records,
+                raw_records(text, dialect),
+                "{text:?} chunk {chunk}"
+            );
+            assert_eq!(records.len(), whole.n_records(), "{text:?}");
+            for (i, r) in records.iter().enumerate() {
+                assert!(r.end() <= text.len());
+                assert_eq!(r.fields.len(), whole_lens[i], "{text:?} record {i}");
+                let prefix = scan_records(&text[..r.end()], dialect);
+                assert_eq!(prefix.n_records(), i + 1, "{text:?} record {i} {r:?}");
                 let lens: Vec<usize> = prefix.iter().map(|r| r.len()).collect();
-                assert_eq!(lens[..], whole_lens[..i + 1], "{text:?} end {i}");
+                assert_eq!(lens[..], whole_lens[..i + 1], "{text:?} record {i}");
             }
-            // The trailing segment (if any) is the whole scan's last
-            // record(s) beyond the final terminator.
-            let tail_records = whole.n_records() - ends.len();
-            assert!(tail_records <= 1, "{text:?}: at most one unterminated tail");
         }
     }
 
@@ -438,11 +466,15 @@ mod tests {
     #[test]
     fn blank_detection_marks_empty_records() {
         let mut tracker = RecordTracker::new(Dialect::rfc4180());
+        let mut blanks = Vec::new();
         let mut ends = Vec::new();
-        tracker.feed("a,b\n\nx\n\r\n", &mut ends);
-        tracker.finish(&mut ends);
-        let blanks: Vec<bool> = ends.iter().map(|e| e.is_blank()).collect();
+        let mut on_record = |r: &RawRecord| {
+            blanks.push(r.is_blank());
+            ends.push(r.end());
+        };
+        tracker.feed("a,b\n\nx\n\r\n", &mut on_record);
+        tracker.finish(&mut on_record);
         assert_eq!(blanks, vec![false, true, false, true]);
-        assert_eq!(ends[3].after, 9);
+        assert_eq!(ends[3], 9);
     }
 }

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use strudel_dialect::{
-    decode_utf8, parse, try_read_table, write_delimited, Deadline, Dialect, Limits,
+    decode_utf8, parse, try_detect_dialect, try_read_table_ref_with, write_delimited, Deadline,
+    Dialect, Limits,
 };
 
 /// Arbitrary cell content over the full printable-ASCII range (which
@@ -68,7 +69,11 @@ proptest! {
         match decode_utf8(&bytes) {
             Err(e) => prop_assert_eq!(e.category(), "parse"),
             Ok(text) => {
-                if let Err(e) = try_read_table(text, &Limits::standard(), Deadline::none()) {
+                let limits = Limits::standard();
+                let read = try_detect_dialect(text, &limits, Deadline::none()).and_then(|d| {
+                    try_read_table_ref_with(text, &d, &limits, Deadline::none(), 1)
+                });
+                if let Err(e) = read {
                     prop_assert!(!e.category().is_empty());
                 }
             }

@@ -178,7 +178,7 @@ impl<'m> PackWriter<'m> {
 
         let mut skeleton = Vec::new();
         for (r, record) in raw.iter().enumerate() {
-            let span = record.fields[0].start..record.fields.last().expect("≥1 field").end;
+            let span = record.span();
             let directive = |kind: u8| (kind << 2) | record.term.code();
             match roles[r] {
                 Role::Skeleton => {
