@@ -8,7 +8,7 @@
 //! picks the files with the highest mean line-prediction entropy. The
 //! model retrains after every round.
 
-use strudel::{file_uncertainty, StrudelLine, StrudelLineConfig};
+use strudel::{select_most_uncertain, StrudelLine, StrudelLineConfig};
 use strudel_bench::ExperimentArgs;
 use strudel_eval::Evaluation;
 use strudel_ml::ForestConfig;
@@ -57,12 +57,11 @@ fn run_strategy(
             continue;
         }
         let picks: Vec<usize> = if uncertainty_driven {
-            let mut scored: Vec<(usize, f64)> = unlabeled
-                .iter()
-                .map(|&i| (i, file_uncertainty(&model, &pool[i].table)))
-                .collect();
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-            scored.into_iter().take(BATCH).map(|(i, _)| i).collect()
+            let candidates: Vec<_> = unlabeled.iter().map(|&i| &pool[i].table).collect();
+            select_most_uncertain(&model, &candidates, BATCH)
+                .into_iter()
+                .map(|c| unlabeled[c])
+                .collect()
         } else {
             let mut pool_copy = unlabeled.clone();
             pool_copy.shuffle(&mut rng);
@@ -100,7 +99,11 @@ fn main() {
     };
 
     println!(
-        "Active learning simulation (line task, SAUS+DeEx): pool {} files, test {} files,\nseed {} files + {} per round\n",
+        "Active learning simulation (line task, SAUS+DeEx): --files {} --scale {} --seed {} --trees {}\npool {} files, test {} files, seed {} files + {} per round\n",
+        args.files,
+        args.scale,
+        args.seed,
+        args.trees,
         pool.len(),
         test.len(),
         SEED_FILES,

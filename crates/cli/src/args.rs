@@ -48,8 +48,6 @@ pub struct Options {
     pub mode: String,
     /// `--path P` — loadtest request path.
     pub path: String,
-    /// `--repair` — apply the Koci-style post-processing repair pass.
-    pub repair: bool,
     /// `--max-bytes N` — override the per-file input size limit.
     pub max_bytes: Option<u64>,
     /// `--max-rows N` — override the parsed-row limit.
@@ -117,7 +115,6 @@ impl Options {
                 }
                 "--cells" => o.cells = true,
                 "--json" => o.json = true,
-                "--repair" => o.repair = true,
                 "--host" => o.host = value("--host")?,
                 "--port" => o.port = value("--port")?.parse().map_err(|_| "--port: integer")?,
                 // `--queue` survives as an alias from the admission-queue

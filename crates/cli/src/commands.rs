@@ -4,7 +4,7 @@ use crate::args::Options;
 use crate::{existing, fast_config, model_from, print_evaluation, CliError};
 use std::fs;
 use std::path::Path;
-use strudel::{repair_cells, RepairConfig, Structure, Strudel};
+use strudel::{Structure, Strudel};
 use strudel_dialect::{write_delimited, Dialect};
 
 /// `strudel synth --dataset NAME --out DIR [--files N --seed K --scale S]`
@@ -88,15 +88,7 @@ pub fn detect(options: &Options) -> Result<(), CliError> {
         .inputs
         .first()
         .ok_or("detect requires an input FILE")?;
-    let mut structure = detect_file(options, input)?;
-    if options.repair {
-        let report = repair_cells(
-            &structure.table,
-            &mut structure.cells,
-            &RepairConfig::default(),
-        );
-        eprintln!("repair pass fixed {} cells", report.total());
-    }
+    let structure = detect_file(options, input)?;
 
     if options.json {
         // The canonical machine-readable rendering — byte-identical to
@@ -160,17 +152,8 @@ fn detect_stream(options: &Options) -> Result<(), CliError> {
 
     let mut buffered: Vec<strudel::StreamWindow> = Vec::new();
     let mut differing: Vec<(usize, usize, &'static str, String)> = Vec::new();
-    let mut repaired = 0usize;
     let mut dialect_printed = false;
-    let mut on_window = |mut w: strudel::StreamWindow| {
-        if options.repair {
-            repaired += repair_cells(
-                &w.structure.table,
-                &mut w.structure.cells,
-                &RepairConfig::default(),
-            )
-            .total();
-        }
+    let mut on_window = |w: strudel::StreamWindow| {
         if options.json {
             buffered.push(w);
             return;
@@ -208,9 +191,6 @@ fn detect_stream(options: &Options) -> Result<(), CliError> {
     strudel::classify_reader(&model, &mut file, options.stream_config(), &mut on_window)
         .map_err(|e| e.with_file(name))?;
 
-    if options.repair {
-        eprintln!("repair pass fixed {repaired} cells");
-    }
     if options.json {
         println!("{}", strudel::stream_to_json(&buffered));
         return Ok(());

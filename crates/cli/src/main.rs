@@ -125,7 +125,7 @@ strudel — structure detection in verbose CSV files (EDBT 2021)
 USAGE:
   strudel synth   --dataset NAME --out DIR [--files N] [--seed K] [--scale S]
   strudel train   --corpus DIR --out MODEL [--trees N] [--seed K]
-  strudel detect  [--model MODEL] FILE [--cells] [--repair] [--json] [--stream]
+  strudel detect  [--model MODEL] FILE [--cells] [--json] [--stream]
   strudel extract [--model MODEL] FILE
   strudel segments [--model MODEL] FILE
   strudel eval    --model MODEL --corpus DIR

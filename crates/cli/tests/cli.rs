@@ -925,6 +925,16 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn repair_flag_is_unknown() {
+    let out = bin()
+        .args(["detect", "--repair", "input.csv"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--repair"));
+}
+
+#[test]
 fn help_prints_usage() {
     let out = bin().arg("help").output().unwrap();
     assert!(out.status.success());

@@ -11,19 +11,14 @@
 //!   it models (no `derived`);
 //! - [`RnnCell`] (`RNN^C`) — the neural cell classifier of Ghasemi-Gol et
 //!   al., reproduced as a cell-embedding + neighbour-context network (see
-//!   DESIGN.md, substitution 2);
-//! - [`HeuristicCell`] — a training-free UCheck-style rule baseline
-//!   (related work \[1\]; not part of the paper's evaluation, provided as
-//!   a floor).
+//!   DESIGN.md, substitution 2).
 
 mod crf_line;
-mod heuristic;
 mod line_cell;
 mod pytheas;
 mod rnn_cell;
 
 pub use crf_line::{CrfLine, CrfLineConfig};
-pub use heuristic::HeuristicCell;
 pub use line_cell::LineCell;
 pub use pytheas::{PytheasConfig, PytheasLine};
 pub use rnn_cell::{RnnCell, RnnCellConfig};

@@ -67,25 +67,6 @@ impl StrudelCell {
         }
     }
 
-    /// Fit the cell stage on top of an already-fitted line model.
-    pub fn fit_with_line_model(
-        files: &[LabeledFile],
-        line_model: StrudelLine,
-        features: CellFeatureConfig,
-        forest: &ForestConfig,
-    ) -> StrudelCell {
-        let dataset = Self::build_dataset(files, &line_model, &features);
-        assert!(
-            !dataset.is_empty(),
-            "no labeled cells in the training files"
-        );
-        StrudelCell {
-            forest: RandomForest::fit(&dataset, forest),
-            line_model,
-            features,
-        }
-    }
-
     /// Assemble the supervised cell dataset of a file collection: one
     /// sample per labeled non-empty cell, with `LineClassProbability`
     /// features produced by `line_model`.

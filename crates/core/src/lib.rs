@@ -58,7 +58,6 @@ mod line_features;
 mod metrics;
 mod persist;
 mod pipeline;
-mod postprocess;
 pub mod stream;
 
 pub use active::{file_uncertainty, normalized_entropy, select_most_uncertain, uniform_entropy};
@@ -87,7 +86,6 @@ pub use line_features::{
 };
 pub use metrics::{Stage, StageTimer, StageTimings};
 pub use pipeline::{Structure, Strudel, TableRegion};
-pub use postprocess::{repair_cells, RepairConfig, RepairReport};
 pub use stream::{
     classify_reader, stream_to_json, StreamClassifier, StreamConfig, StreamSummary, StreamWindow,
     STREAM_CHUNK_BYTES,

@@ -35,9 +35,9 @@ pub struct Structure {
     pub line_probs: Vec<Vec<f64>>,
     /// Per-cell predictions for all non-empty cells.
     pub cells: Vec<CellPrediction>,
-    /// Position → index into `cells`. Cell *positions* never change after
-    /// construction (post-processing only rewrites predicted classes), so
-    /// the index stays valid for the lifetime of the value.
+    /// Position → index into `cells`, built once at construction. It
+    /// stays valid as long as no caller moves, adds or removes entries of
+    /// `cells`; rewriting a predicted class in place keeps it valid.
     cell_index: HashMap<(usize, usize), usize>,
 }
 

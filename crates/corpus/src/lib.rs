@@ -34,10 +34,6 @@
 
 #![warn(missing_docs)]
 
-mod annotate;
-
-pub use annotate::{merge_annotations, AgreementStats};
-
 use std::fmt;
 use std::fs;
 use std::io;

@@ -31,6 +31,4 @@ pub use confusion::{majority_vote, ConfusionMatrix};
 pub use cv::{grouped_k_folds, run_cross_validation, CvConfig, CvOutcome, Prediction};
 pub use importance::{importance_shares, per_class_importance, permutation_importance};
 pub use metrics::Evaluation;
-pub use significance::{
-    bootstrap_macro_f1, paired_randomization_test, ConfidenceInterval, PairedTest,
-};
+pub use significance::{paired_randomization_test, PairedTest};

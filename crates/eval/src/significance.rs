@@ -1,70 +1,13 @@
-//! Statistical comparison of classifiers: bootstrap confidence
-//! intervals for scores and a paired randomisation (approximate
-//! permutation) test for the difference between two systems evaluated on
-//! the same elements.
+//! Statistical comparison of classifiers: a paired randomisation
+//! (approximate permutation) test for the difference between two systems
+//! evaluated on the same elements.
 //!
 //! The paper compares systems by repeated cross-validation averages;
-//! these utilities add the error bars a careful replication wants when
-//! deciding whether "A beats B" on a finite corpus is signal or noise.
+//! this test tells whether "A beats B" on a finite corpus is signal or
+//! noise.
 
-use crate::metrics::Evaluation;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// A two-sided bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConfidenceInterval {
-    /// Point estimate on the full sample.
-    pub estimate: f64,
-    /// Lower bound.
-    pub lo: f64,
-    /// Upper bound.
-    pub hi: f64,
-}
-
-/// Percentile-bootstrap confidence interval of the macro-F1 of a
-/// prediction set (resampling elements with replacement).
-///
-/// # Panics
-/// Panics when inputs are empty or mismatched, `level` is outside
-/// (0, 1), or `n_resamples == 0`.
-pub fn bootstrap_macro_f1(
-    gold: &[usize],
-    pred: &[usize],
-    n_classes: usize,
-    n_resamples: usize,
-    level: f64,
-    seed: u64,
-) -> ConfidenceInterval {
-    assert_eq!(gold.len(), pred.len(), "one prediction per gold label");
-    assert!(!gold.is_empty(), "cannot bootstrap an empty sample");
-    assert!((0.0..1.0).contains(&level) && level > 0.0, "level in (0,1)");
-    assert!(n_resamples > 0, "need at least one resample");
-
-    let estimate = Evaluation::compute(gold, pred, n_classes).macro_f1(&[]);
-    let n = gold.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut scores: Vec<f64> = (0..n_resamples)
-        .map(|_| {
-            let mut g = Vec::with_capacity(n);
-            let mut p = Vec::with_capacity(n);
-            for _ in 0..n {
-                let i = rng.gen_range(0..n);
-                g.push(gold[i]);
-                p.push(pred[i]);
-            }
-            Evaluation::compute(&g, &p, n_classes).macro_f1(&[])
-        })
-        .collect();
-    scores.sort_by(f64::total_cmp);
-    let alpha = (1.0 - level) / 2.0;
-    let idx = |q: f64| ((q * (n_resamples - 1) as f64).round() as usize).min(n_resamples - 1);
-    ConfidenceInterval {
-        estimate,
-        lo: scores[idx(alpha)],
-        hi: scores[idx(1.0 - alpha)],
-    }
-}
 
 /// Result of a paired randomisation test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,28 +74,6 @@ pub fn paired_randomization_test(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ci_contains_the_estimate_and_orders() {
-        let gold: Vec<usize> = (0..200).map(|i| i % 3).collect();
-        let pred: Vec<usize> = gold
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| if i % 10 == 0 { (g + 1) % 3 } else { g })
-            .collect();
-        let ci = bootstrap_macro_f1(&gold, &pred, 3, 200, 0.95, 1);
-        assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi);
-        assert!(ci.hi - ci.lo < 0.2, "CI too wide: {ci:?}");
-    }
-
-    #[test]
-    fn perfect_prediction_ci_is_degenerate() {
-        let gold = vec![0usize, 1, 0, 1, 0, 1];
-        let ci = bootstrap_macro_f1(&gold, &gold, 2, 100, 0.9, 2);
-        assert_eq!(ci.estimate, 1.0);
-        assert_eq!(ci.lo, 1.0);
-        assert_eq!(ci.hi, 1.0);
-    }
 
     #[test]
     fn identical_systems_are_not_significant() {

@@ -36,9 +36,10 @@
 //! The packed container format adds a fourth dimension
 //! ([`check_pack_roundtrip`]): every input that packs cleanly must
 //! unpack byte-identically, and the container must fail *typed* at
-//! every truncation prefix and under a spread of single-byte
-//! corruptions — a panic or a silent wrong reconstruction anywhere in
-//! the pack→unpack path fails the soak.
+//! every truncation prefix, under a spread of single-byte corruptions,
+//! and under directory mutations sealed with a fresh checksum — a panic
+//! or a silent wrong reconstruction anywhere in the pack→unpack path
+//! fails the soak.
 
 #![warn(missing_docs)]
 
@@ -48,8 +49,8 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use strudel::{
-    stream_to_json, StreamClassifier, StreamConfig, StreamSummary, Strudel, StrudelCellConfig,
-    StrudelLineConfig,
+    stream_to_json, ContentHash, StreamClassifier, StreamConfig, StreamSummary, Strudel,
+    StrudelCellConfig, StrudelLineConfig,
 };
 use strudel_dialect::legacy::try_parse_legacy;
 use strudel_dialect::{try_parse, Dialect};
@@ -539,8 +540,9 @@ pub fn pack_panel() -> [StreamConfig; 2] {
 /// Pack→unpack differential check: every input that packs cleanly must
 /// unpack byte-identically under every panel geometry, and the
 /// resulting container must fail *typed* — never panic, never
-/// reconstruct different bytes — at every truncation prefix and under a
-/// spread of single-byte corruptions. Inputs the packer rejects (binary
+/// reconstruct different bytes — at every truncation prefix, under a
+/// spread of single-byte corruptions, and under directory mutations
+/// sealed with a fresh checksum. Inputs the packer rejects (binary
 /// content, limit violations) are legitimate typed outcomes, not
 /// divergences.
 pub fn check_pack_roundtrip(model: &Strudel, input: &[u8], limits: &Limits) -> Option<String> {
@@ -580,10 +582,12 @@ pub fn check_pack_roundtrip(model: &Strudel, input: &[u8], limits: &Limits) -> O
                 }
             }
         }
-        // Single-byte corruption spread: every region of the container
-        // (blocks, directory, tail) is covered by a checksum or a
-        // structural check, so a flipped byte must be rejected or — if
-        // the flip never reaches a decoded path — reproduce the input.
+        // Single-byte corruption spread: blocks and the directory carry
+        // checksums and the tail is checked structurally, so a flipped
+        // byte must be rejected or — if the flip never reaches a
+        // decoded path — reproduce the input. The checksums are unkeyed
+        // FNV, though, so they stop accidents, not crafted files: the
+        // sealed-directory pass below rewrites the checksum too.
         let step = (packed.bytes.len() / 16).max(1);
         for at in (0..packed.bytes.len()).step_by(step) {
             let mut corrupt = packed.bytes.clone();
@@ -596,6 +600,139 @@ pub fn check_pack_roundtrip(model: &Strudel, input: &[u8], limits: &Limits) -> O
                         ));
                     }
                 }
+            }
+        }
+        if let Some(desc) = check_sealed_directories(&packed.bytes, input) {
+            return Some(format!("pack config {p}: {desc}"));
+        }
+    }
+    None
+}
+
+/// Values the sealed-directory pass writes into numeric directory fields.
+const EXTREMES: [u64; 3] = [0, 1 << 63, u64::MAX];
+
+/// Read one LEB128 varint at `*pos`, returning its byte span and value.
+fn read_leb128(data: &[u8], pos: &mut usize) -> Option<(std::ops::Range<usize>, u64)> {
+    let start = *pos;
+    let mut value = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = *data.get(*pos)?;
+        *pos += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Some((start..*pos, value));
+        }
+    }
+    None
+}
+
+/// Encode `v` as a LEB128 varint.
+fn write_leb128(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// Byte spans of the numeric fields of a directory in `strudel_pack`'s
+/// wire layout, in wire order, each flagged `true` when it is a fixed
+/// 8-byte little-endian field: the original length, the group and table
+/// counts, each table's group and column count, and each block's offset
+/// and length.
+fn directory_fields(dir: &[u8]) -> Option<Vec<(std::ops::Range<usize>, bool)>> {
+    let mut pos = 0;
+    let mut fields = Vec::new();
+    read_leb128(dir, &mut pos)?; // version
+    read_leb128(dir, &mut pos)?; // delimiter
+    for _ in 0..2 {
+        // Quote and escape: a presence flag, then the character.
+        pos += 1;
+        if *dir.get(pos - 1)? == 1 {
+            read_leb128(dir, &mut pos)?;
+        }
+    }
+    pos += 17; // BOM flag, original h1 and h2
+    fields.push((pos..pos + 8, true));
+    pos += 8;
+    fields.push((read_leb128(dir, &mut pos)?.0, false));
+    let (span, n_tables) = read_leb128(dir, &mut pos)?;
+    fields.push((span, false));
+    for _ in 0..n_tables {
+        fields.push((read_leb128(dir, &mut pos)?.0, false));
+        read_leb128(dir, &mut pos)?; // body rows
+        let (span, n_cols) = read_leb128(dir, &mut pos)?;
+        fields.push((span, false));
+        for _ in 0..n_cols {
+            pos += read_leb128(dir, &mut pos)?.1 as usize;
+        }
+    }
+    let n_blocks = read_leb128(dir, &mut pos)?.1;
+    for _ in 0..n_blocks {
+        pos += 1; // kind
+        for field in 0..5 {
+            // group, table, column, then offset and length
+            let (span, _) = read_leb128(dir, &mut pos)?;
+            if field >= 3 {
+                fields.push((span, false));
+            }
+        }
+        pos += 16; // h1, h2
+    }
+    Some(fields)
+}
+
+/// Sealed-directory pass: mutate the directory of a freshly packed
+/// container — byte flips, and numeric fields set to [`EXTREMES`] — and
+/// write a fresh checksum into the tail, as a crafted file would. Every
+/// mutant must open and unpack to a typed error or to `input`, and
+/// extracting any of its tables must not panic. Up to 16 fields are
+/// mutated (always the original length and the group and table counts)
+/// so the pass stays cheap on many-block containers.
+fn check_sealed_directories(packed: &[u8], input: &[u8]) -> Option<String> {
+    let tail_at = packed.len() - strudel_pack::TAIL_LEN;
+    let dir_at = u64::from_le_bytes(packed[tail_at..][..8].try_into().expect("8 bytes")) as usize;
+    let dir = &packed[dir_at..tail_at];
+    let mut mutants = Vec::new();
+    for at in (0..dir.len()).step_by((dir.len() / 8).max(1)) {
+        let mut mutant = dir.to_vec();
+        mutant[at] ^= 0x41;
+        mutants.push(mutant);
+    }
+    let fields = directory_fields(dir).expect("a freshly packed directory parses");
+    let step = (fields.len() / 16).max(1);
+    for (i, (span, fixed)) in fields.into_iter().enumerate() {
+        if i >= 3 && i % step != 0 {
+            continue;
+        }
+        for v in EXTREMES {
+            let mut mutant = dir[..span.start].to_vec();
+            mutant.extend(if fixed {
+                v.to_le_bytes().to_vec()
+            } else {
+                write_leb128(v)
+            });
+            mutant.extend_from_slice(&dir[span.end..]);
+            mutants.push(mutant);
+        }
+    }
+    for mutant in mutants {
+        let hash = ContentHash::of(&mutant);
+        let mut sealed = packed[..dir_at].to_vec();
+        sealed.extend_from_slice(&mutant);
+        for v in [dir_at as u64, mutant.len() as u64, hash.h1, hash.h2] {
+            sealed.extend_from_slice(&v.to_le_bytes());
+        }
+        sealed.extend_from_slice(&packed[packed.len() - 8..]); // end magic
+        if let Ok(mut reader) = strudel_pack::PackReader::open(&sealed) {
+            for t in 0..reader.tables().len() {
+                let _ = reader.extract_table(t);
+            }
+            if reader.unpack().is_ok_and(|bytes| bytes != input) {
+                return Some("a sealed directory mutant unpacked different bytes".into());
             }
         }
     }

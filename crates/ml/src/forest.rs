@@ -106,21 +106,6 @@ const LEAF: u32 = u32::MAX;
 /// while the block passes through it; the accumulator holds one block.
 const BLOCK_ROWS: usize = 256;
 
-/// A fitted forest together with its out-of-bag (OOB) accuracy estimate:
-/// each sample is scored only by the trees whose bootstrap resample did
-/// not contain it — an unbiased generalisation estimate without a
-/// held-out set (Breiman 2001, cited as \[3\] in the paper).
-pub struct OobFit {
-    /// The fitted forest.
-    pub forest: RandomForest,
-    /// OOB accuracy over the training samples that were out of bag for
-    /// at least one tree.
-    pub oob_accuracy: f64,
-    /// Number of samples that were never out of bag (excluded from the
-    /// estimate; shrinks quickly as trees are added).
-    pub never_oob: usize,
-}
-
 impl RandomForest {
     /// Fit a forest on `data`.
     ///
@@ -139,57 +124,6 @@ impl RandomForest {
     pub fn fit_reference(data: &Dataset, config: &ForestConfig) -> RandomForest {
         RandomForest::from_trees(train_trees(data, config, true), data.n_classes())
             .expect("trained trees flatten")
-    }
-
-    /// Fit with out-of-bag scoring. Requires `bootstrap = true`
-    /// (without resampling there is no out-of-bag sample).
-    ///
-    /// # Panics
-    /// Panics when `config.bootstrap` is false or on an empty dataset.
-    pub fn fit_with_oob(data: &Dataset, config: &ForestConfig) -> OobFit {
-        assert!(
-            config.bootstrap,
-            "OOB scoring requires bootstrap resampling"
-        );
-        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
-        let n = data.n_samples();
-        // Reproduce each tree's bootstrap draw (same seed derivation as
-        // fit) to build the in-bag masks, then fit normally.
-        let forest = RandomForest::fit(data, config);
-        let mut votes = vec![vec![0.0f64; forest.n_classes]; n];
-        let mut voted = vec![false; n];
-        for (t, &root) in forest.roots.iter().enumerate() {
-            let mut rng = tree_rng(config.seed, t);
-            let mut in_bag = vec![false; n];
-            for _ in 0..n {
-                in_bag[rng.gen_range(0..n)] = true;
-            }
-            for i in 0..n {
-                if !in_bag[i] {
-                    forest.add_tree(root, data.row(i), &mut votes[i]);
-                    voted[i] = true;
-                }
-            }
-        }
-        let mut correct = 0usize;
-        let mut scored = 0usize;
-        for i in 0..n {
-            if voted[i] {
-                scored += 1;
-                if crate::traits::argmax(&votes[i]) == data.target(i) {
-                    correct += 1;
-                }
-            }
-        }
-        OobFit {
-            forest,
-            oob_accuracy: if scored == 0 {
-                0.0
-            } else {
-                correct as f64 / scored as f64
-            },
-            never_oob: n - scored,
-        }
     }
 
     /// Number of trees in the ensemble.
@@ -754,47 +688,6 @@ mod tests {
         let ds = blobs(5, 10);
         let forest = RandomForest::fit(&ds, &ForestConfig::fast(7, 0));
         assert_eq!(forest.n_trees(), 7);
-    }
-
-    #[test]
-    fn oob_accuracy_tracks_generalisation() {
-        let train = blobs(7, 60);
-        let test = blobs(8, 60);
-        let fit = RandomForest::fit_with_oob(&train, &ForestConfig::fast(30, 2));
-        let test_acc = fit.forest.accuracy(&test);
-        // OOB is an estimate of held-out accuracy: within a few points.
-        assert!(
-            (fit.oob_accuracy - test_acc).abs() < 0.08,
-            "oob {} vs test {}",
-            fit.oob_accuracy,
-            test_acc
-        );
-        assert!(fit.never_oob < train.n_samples() / 10);
-    }
-
-    #[test]
-    fn oob_forest_matches_plain_fit() {
-        let ds = blobs(9, 30);
-        let config = ForestConfig::fast(6, 4);
-        let plain = RandomForest::fit(&ds, &config);
-        let oob = RandomForest::fit_with_oob(&ds, &config);
-        for i in 0..ds.n_samples() {
-            assert_eq!(
-                plain.predict_proba(ds.row(i)),
-                oob.forest.predict_proba(ds.row(i))
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "OOB scoring requires bootstrap")]
-    fn oob_without_bootstrap_panics() {
-        let ds = blobs(10, 10);
-        let config = ForestConfig {
-            bootstrap: false,
-            ..ForestConfig::fast(3, 0)
-        };
-        let _ = RandomForest::fit_with_oob(&ds, &config);
     }
 
     #[test]

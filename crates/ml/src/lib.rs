@@ -42,7 +42,7 @@ mod tree;
 
 pub use crf::{CrfConfig, LinearChainCrf, SequenceSample};
 pub use dataset::Dataset;
-pub use forest::{ForestConfig, OobFit, RandomForest, PARALLEL_PREDICT_THRESHOLD};
+pub use forest::{ForestConfig, RandomForest, PARALLEL_PREDICT_THRESHOLD};
 pub use knn::Knn;
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub use mlp::{Mlp, MlpConfig};

@@ -2,12 +2,14 @@
 //! decode, byte-identical full unpack, and selective extraction.
 //!
 //! [`PackReader::open`] trusts nothing: magic, tail geometry, directory
-//! checksum, and every cross-reference (block → group/table/column,
-//! block extents vs. directory offset) are validated before the reader
-//! exists, and every block payload is checksum-verified at the moment
-//! it is read. All failures are typed [`StrudelError`]s — the fuzz
-//! harness feeds this arbitrary and truncated bytes and expects no
-//! panics.
+//! checksum, the group count against the block count, and every
+//! cross-reference (block → group/table/column, table → group, block
+//! extents vs. directory offset) are validated before the reader exists,
+//! and every block payload is checksum-verified at the moment it is
+//! read. The checksums are unkeyed, so a crafted directory can carry a
+//! valid one; the checks do not rely on it. All failures are typed
+//! [`StrudelError`]s — the fuzz harness feeds this arbitrary, truncated
+//! and re-sealed bytes and expects no panics.
 //!
 //! The reader counts every block it decodes
 //! ([`blocks_read`](PackReader::blocks_read)); the workspace tests pin
@@ -97,9 +99,20 @@ impl<'a> PackReader<'a> {
         let dir = decode_directory(dir_bytes)?;
 
         // Cross-validate the directory so extraction can index freely.
-        let n_groups = usize::try_from(dir.n_groups)
-            .map_err(|_| corrupt(dir_offset, "group count overflows"))?;
-        let mut skeleton_of_group: Vec<Option<usize>> = vec![None; n_groups];
+        // Every group needs its own skeleton block, so more groups than
+        // blocks is corrupt; checking that first bounds the allocation.
+        let (groups, blocks) = (dir.n_groups, dir.blocks.len());
+        if groups > blocks as u64 {
+            let reason = format!("{groups} groups, {blocks} blocks: a group has no skeleton block");
+            return Err(corrupt(dir_offset, reason));
+        }
+        if let Some(t) = dir.tables.iter().position(|t| t.group >= groups) {
+            return Err(corrupt(
+                dir_offset,
+                format!("table {t} references group {}", dir.tables[t].group),
+            ));
+        }
+        let mut skeleton_of_group: Vec<Option<usize>> = vec![None; groups as usize];
         let mut column_blocks: Vec<Vec<Option<usize>>> = dir
             .tables
             .iter()
@@ -256,7 +269,12 @@ impl<'a> PackReader<'a> {
     /// result is verified against the original fingerprint before it is
     /// returned.
     pub fn unpack(&mut self) -> Result<Vec<u8>, StrudelError> {
-        let mut out = Vec::with_capacity(self.dir.original.len as usize);
+        // The recorded length is only a capacity hint: a crafted
+        // directory can claim any length, so the hint is capped at a
+        // multiple of the container's own size (a wrong length still
+        // fails the fingerprint check below).
+        let hint = usize::try_from(self.dir.original.len).unwrap_or(usize::MAX);
+        let mut out = Vec::with_capacity(hint.min(self.data.len().saturating_mul(4)));
         if self.dir.bom {
             out.extend_from_slice(&[0xEF, 0xBB, 0xBF]);
         }

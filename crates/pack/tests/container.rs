@@ -2,7 +2,9 @@
 //! the O(1) block-read contract, and corrupt-container handling.
 
 use std::sync::OnceLock;
-use strudel::{Stage, StageTimings, StreamConfig, Strudel, StrudelCellConfig, StrudelLineConfig};
+use strudel::{
+    ContentHash, Stage, StageTimings, StreamConfig, Strudel, StrudelCellConfig, StrudelLineConfig,
+};
 use strudel_ml::ForestConfig;
 use strudel_pack::{
     pack_bytes, pack_bytes_metered, unpack_bytes, unpack_bytes_metered, PackReader,
@@ -257,5 +259,43 @@ fn garbage_containers_fail_typed() {
             .err()
             .expect("garbage must not open");
         assert_eq!(err.category(), "parse");
+    }
+}
+
+/// Hand-built directories sealed under a valid checksum (it is unkeyed,
+/// so a crafted file can always carry one): every directory field that
+/// sizes an allocation or indexes a table is checked before use.
+#[test]
+fn crafted_directories_fail_typed() {
+    let empty = ContentHash::of(b"");
+    let le = |values: &[u64]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    // Version 1, `,` delimiter, `"` quote, no escape, no BOM, the
+    // original's fingerprint, then the counts and entries.
+    let directory = |original_len: u64, rest: &[u8]| {
+        let fingerprint = le(&[empty.h1, empty.h2, original_len]);
+        [&[1, b',', 1, b'"', 0, 0], &fingerprint[..], rest].concat()
+    };
+    // One empty skeleton block: kind, group, table, column, offset, length.
+    let skeleton = [&[0, 0, 0, 0, 8, 0][..], &le(&[empty.h1, empty.h2])].concat();
+    for dir in [
+        // 2^62 groups (LEB128: eight continuation bytes, then 0x40), no
+        // tables, no blocks.
+        directory(0, &[&[0x80; 8][..], &[0x40, 0, 0]].concat()),
+        // An original length of 2^63.
+        directory(1 << 63, &[0, 0, 0]),
+        // One group with its skeleton block, but table 0 claims group 5.
+        directory(0, &[&[1, 1, 5, 0, 0, 1][..], &skeleton].concat()),
+    ] {
+        let mut bytes = [&b"STRUPAK1"[..], &dir].concat();
+        let hash = ContentHash::of(&dir);
+        bytes.extend(le(&[8, dir.len() as u64, hash.h1, hash.h2]));
+        bytes.extend_from_slice(b"STRUEND1");
+        let err = PackReader::open(&bytes)
+            .and_then(|mut reader| {
+                reader.unpack()?;
+                reader.extract_table(0)
+            })
+            .expect_err("crafted directory must fail");
+        assert_eq!(err.category(), "parse", "{err}");
     }
 }

@@ -1,6 +1,5 @@
-//! The production workflow: train once, persist, reload, classify with
-//! post-processing repair, and segment multi-table files — plus the
-//! training-free heuristic floor for comparison.
+//! The production workflow: train once, persist, reload, classify, and
+//! segment multi-table files.
 //!
 //! ```sh
 //! cargo run --release --example model_workflow
@@ -8,10 +7,7 @@
 
 use strudel_repro::datagen::{deex, GeneratorConfig};
 use strudel_repro::ml::ForestConfig;
-use strudel_repro::strudel::baselines::HeuristicCell;
-use strudel_repro::strudel::{
-    repair_cells, RepairConfig, Strudel, StrudelCellConfig, StrudelLineConfig,
-};
+use strudel_repro::strudel::{Strudel, StrudelCellConfig, StrudelLineConfig};
 
 fn main() {
     // 1. Train on a heterogeneous business corpus and persist the model.
@@ -57,19 +53,15 @@ Clerks,4,6,5
 ,,,
 Note: preliminary figures,,,
 ";
-    let mut structure = model.detect_structure(text);
+    let structure = model.detect_structure(text);
+    println!("\nline classes:");
+    for (r, class) in structure.lines.iter().enumerate() {
+        println!("  {r:>2}  {}", class.map_or("(empty)", |c| c.name()));
+    }
 
-    // 3. Post-processing repair (Koci-style rules).
-    let report = repair_cells(
-        &structure.table,
-        &mut structure.cells,
-        &RepairConfig::default(),
-    );
-    println!("\nrepair pass fixed {} cells", report.total());
-
-    // 4. Multi-table segmentation.
+    // 3. Multi-table segmentation.
     let regions = structure.tables();
-    println!("detected {} table regions:", regions.len());
+    println!("\ndetected {} table regions:", regions.len());
     for (i, region) in regions.iter().enumerate() {
         let caption = region
             .metadata_rows
@@ -83,20 +75,4 @@ Note: preliminary figures,,,
             region.notes_rows.len()
         );
     }
-
-    // 5. The training-free heuristic floor on the same file.
-    let heuristic_preds = HeuristicCell.predict(&structure.table);
-    let agree = heuristic_preds
-        .iter()
-        .filter(|h| {
-            structure
-                .cells
-                .iter()
-                .any(|c| c.row == h.row && c.col == h.col && c.class == h.class)
-        })
-        .count();
-    println!(
-        "\nheuristic floor agrees with the learned model on {agree}/{} cells",
-        heuristic_preds.len()
-    );
 }
