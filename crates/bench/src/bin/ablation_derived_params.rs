@@ -17,8 +17,12 @@ fn main() {
     let corpus = strudel_datagen::by_name("SAUS", &args.corpus_config("SAUS"));
     let cv = args.cv_config();
     println!(
-        "Derived-detector parameter sweep (line task, SAUS, {} files)\n",
-        corpus.files.len()
+        "Derived-detector parameter sweep (line task, SAUS): --files {} --scale {} --folds {} --repeats {} --trees {}\n",
+        corpus.files.len(),
+        args.scale,
+        args.folds,
+        args.repeats,
+        args.trees
     );
     println!(
         "{:<10}{:<10}{:<10}{:>10}{:>12}",

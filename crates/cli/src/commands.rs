@@ -188,8 +188,15 @@ fn detect_stream(options: &Options) -> Result<(), CliError> {
         std::io::stdout().flush().ok();
         // `w` is dropped here — non-JSON output stays O(window).
     };
-    strudel::classify_reader(&model, &mut file, options.stream_config(), &mut on_window)
-        .map_err(|e| e.with_file(name))?;
+    let mut timings = strudel::StageTimings::default();
+    strudel::classify_reader(
+        &model,
+        &mut file,
+        options.stream_config(),
+        &mut timings,
+        &mut on_window,
+    )
+    .map_err(|e| e.with_file(name))?;
 
     if options.json {
         println!("{}", strudel::stream_to_json(&buffered));
@@ -419,7 +426,6 @@ pub fn loadtest(options: &Options) -> Result<(), CliError> {
 /// block group per stream window, O(window) peak memory. The default
 /// output path is the input with `.pack` appended.
 pub fn pack(options: &Options) -> Result<(), CliError> {
-    use std::io::Read;
     let input = options
         .inputs
         .first()
@@ -429,20 +435,10 @@ pub fn pack(options: &Options) -> Result<(), CliError> {
     let model = model_from(options)?;
     let mut file =
         fs::File::open(&input).map_err(|e| strudel::StrudelError::io(&e, Some(&name)))?;
-    let mut writer = strudel_pack::PackWriter::new(&model, options.stream_config());
-    let mut chunk = vec![0u8; strudel::STREAM_CHUNK_BYTES];
-    loop {
-        let n = file
-            .read(&mut chunk)
-            .map_err(|e| strudel::StrudelError::io(&e, Some(&name)))?;
-        if n == 0 {
-            break;
-        }
-        writer
-            .push(&chunk[..n])
+    let mut timings = strudel::StageTimings::default();
+    let packed =
+        strudel_pack::pack_reader(&model, &mut file, options.stream_config(), &mut timings)
             .map_err(|e| e.with_file(name.clone()))?;
-    }
-    let packed = writer.finish().map_err(|e| e.with_file(name.clone()))?;
     let out = options
         .out
         .clone()
@@ -481,35 +477,23 @@ pub fn unpack(options: &Options) -> Result<(), CliError> {
     let bytes = fs::read(&input).map_err(|e| strudel::StrudelError::io(&e, Some(&name)))?;
     let mut reader =
         strudel_pack::PackReader::open(&bytes).map_err(|e| e.with_file(name.clone()))?;
-    let out = match (&options.column, options.table) {
-        (Some(column), table) => {
-            let (t, c) = reader.find_column(column, table).ok_or_else(|| {
-                let scope = table.map_or(String::new(), |t| format!(" in table {t}"));
-                let known: Vec<&str> = reader
-                    .tables()
-                    .iter()
-                    .flat_map(|t| t.columns.iter().map(String::as_str))
-                    .collect();
-                CliError::Usage(format!(
-                    "no column named {column:?}{scope}; container has: {known:?}"
-                ))
-            })?;
-            let values = reader
-                .extract_column(t, c)
-                .map_err(|e| e.with_file(name.clone()))?;
-            let mut text = String::new();
-            for value in values {
-                text.push_str(&value.unwrap_or_default());
-                text.push('\n');
-            }
-            text.into_bytes()
-        }
-        (None, Some(table)) => reader
-            .extract_table(table)
-            .map_err(|e| e.with_file(name.clone()))?
-            .into_bytes(),
-        (None, None) => reader.unpack().map_err(|e| e.with_file(name.clone()))?,
-    };
+    let out = reader
+        .select(options.table, options.column.as_deref())
+        .map_err(|e| e.with_file(name.clone()))?
+        .ok_or_else(|| {
+            let column = options.column.as_deref().unwrap_or_default();
+            let scope = options
+                .table
+                .map_or(String::new(), |t| format!(" in table {t}"));
+            let known: Vec<&str> = reader
+                .tables()
+                .iter()
+                .flat_map(|t| t.columns.iter().map(String::as_str))
+                .collect();
+            CliError::Usage(format!(
+                "no column named {column:?}{scope}; container has: {known:?}"
+            ))
+        })?;
     match &options.out {
         Some(path) => {
             fs::write(path, &out)

@@ -161,10 +161,11 @@ SERVING:
   --conns N         per-shard connection budget; overflow is shed
                     with 503 + Retry-After (--queue is accepted as an
                     alias)                           [default 256]
-  --cache N         result-cache entries, 0 disables [default 256]
+  --cache N         result-cache entries across all shards (the pack
+                    cache gets as many), 0 disables  [default 256]
   The daemon serves shard-per-core: --threads N shards (0 resolves
   like batch), each driving its own keep-alive connections with a
-  nonblocking poll loop — no accept queue, no cross-shard lock.
+  nonblocking poll loop — no accept queue.
   Endpoints: POST /classify (CSV bytes -> structure JSON, identical to
   `detect --json`), POST /classify/stream (chunked or content-length
   body -> chunked NDJSON window events, O(window) memory per

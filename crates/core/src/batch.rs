@@ -31,7 +31,7 @@
 use crate::json::json_string;
 use crate::metrics::{Stage, StageTimings};
 use crate::pipeline::{Structure, Strudel};
-use crate::stream::{StreamClassifier, StreamConfig, STREAM_CHUNK_BYTES};
+use crate::stream::{classify_reader, StreamConfig, StreamWindow};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -305,36 +305,158 @@ pub struct BatchResult {
 /// *which* input they claim next.
 pub fn detect_all(model: &Strudel, inputs: &[BatchInput], config: &BatchConfig) -> BatchResult {
     let start = Instant::now();
-    let threads = resolve_threads(config.n_threads).min(inputs.len()).max(1);
+    // The same guarded bytes path as `strudel detect`: the byte cap
+    // before UTF-8 decoding, and the per-file wall-clock budget started
+    // once the text is decoded.
+    let (slots, stage_timings, n_threads) = run_pool(
+        inputs,
+        config.n_threads,
+        |input, inner_threads, timings, n_bytes| {
+            let owned;
+            let bytes: &[u8] = match input {
+                BatchInput::Path(p) => {
+                    owned = std::fs::read(p).map_err(|e| StrudelError::io(&e, None))?;
+                    &owned
+                }
+                BatchInput::Text { text, .. } => text.as_bytes(),
+            };
+            *n_bytes = bytes.len();
+            model.try_detect_structure_bytes_metered(bytes, &config.limits, inner_threads, timings)
+        },
+        |structure| (structure.table.n_rows(), structure.cells.len()),
+    );
+    let (structures, outcomes) = slots.into_iter().unzip();
+    BatchResult {
+        structures,
+        report: BatchReport {
+            stage_timings,
+            outcomes,
+            wall: start.elapsed(),
+            n_threads,
+        },
+    }
+}
+
+/// Streamed counterpart of [`detect_all`]: every input flows through
+/// [`classify_reader`] in [`STREAM_CHUNK_BYTES`](crate::STREAM_CHUNK_BYTES)
+/// chunks, windows are dropped as soon as they are counted, and path
+/// inputs are read incrementally — so per-worker peak memory is
+/// O(window), not O(file). Because retaining the structures would defeat
+/// exactly that bound, the result is the [`BatchReport`] alone;
+/// [`FileOutcome::n_rows`] and [`FileOutcome::n_cells`] aggregate over
+/// all windows of each input.
+///
+/// `config` supplies the worker-pool shape and per-window limits (its
+/// `limits` and thread policy override the ones inside `stream`, keeping
+/// one source of truth with [`detect_all`]); `stream` supplies the
+/// window geometry.
+pub fn detect_all_streamed(
+    model: &Strudel,
+    inputs: &[BatchInput],
+    config: &BatchConfig,
+    stream: &StreamConfig,
+) -> BatchReport {
+    let start = Instant::now();
+    let (slots, stage_timings, n_threads) = run_pool(
+        inputs,
+        config.n_threads,
+        |input, inner_threads, timings, n_bytes| {
+            let config = StreamConfig {
+                limits: config.limits,
+                n_threads: inner_threads,
+                ..stream.clone()
+            };
+            let mut n_cells = 0usize;
+            let mut count = |w: StreamWindow| n_cells += w.structure.cells.len();
+            let summary = match input {
+                BatchInput::Path(p) => {
+                    let mut file =
+                        std::fs::File::open(p).map_err(|e| StrudelError::io(&e, None))?;
+                    classify_reader(model, &mut file, config, timings, &mut count)
+                }
+                BatchInput::Text { text, .. } => {
+                    classify_reader(model, &mut text.as_bytes(), config, timings, &mut count)
+                }
+            }?;
+            *n_bytes = summary.total_bytes as usize;
+            Ok((summary.n_rows, n_cells))
+        },
+        |&counts| counts,
+    );
+    BatchReport {
+        stage_timings,
+        outcomes: slots.into_iter().map(|(_, outcome)| outcome).collect(),
+        wall: start.elapsed(),
+        n_threads,
+    }
+}
+
+/// One input's result and outcome.
+type Slot<T> = (Result<T, StrudelError>, FileOutcome);
+
+/// The one batch worker pool: `min(threads, inputs).max(1)` scoped
+/// workers claim inputs by atomic index and run `work` on each, given
+/// [`inference_threads`], a worker-local timing sink and a count of the
+/// bytes read (kept even when the input then fails). Results come back
+/// in input order with their [`FileOutcome`]s (rows and cells from
+/// `counts`; a failure carries the input id as its file, and a panic,
+/// caught as a last resort, is [`StrudelError::Internal`]).
+fn run_pool<T: Send>(
+    inputs: &[BatchInput],
+    n_threads: usize,
+    work: impl Fn(&BatchInput, usize, &mut StageTimings, &mut usize) -> Result<T, StrudelError> + Sync,
+    counts: impl Fn(&T) -> (usize, usize) + Sync,
+) -> (Vec<Slot<T>>, StageTimings, usize) {
+    let threads = resolve_threads(n_threads).min(inputs.len()).max(1);
     let inner_threads = inference_threads(threads);
+    let run_one = |input: &BatchInput, timings: &mut StageTimings| {
+        let start = Instant::now();
+        let mut n_bytes = 0;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            work(input, inner_threads, timings, &mut n_bytes)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(StrudelError::Internal {
+                file: None,
+                reason: panic_message(payload.as_ref()).to_string(),
+            })
+        });
+        let mut outcome = FileOutcome {
+            id: input.id(),
+            n_rows: 0,
+            n_cells: 0,
+            n_bytes,
+            elapsed: start.elapsed(),
+            error: None,
+            category: None,
+        };
+        let result = result
+            .inspect(|value| (outcome.n_rows, outcome.n_cells) = counts(value))
+            .map_err(|error| {
+                let error = error.with_file(outcome.id.clone());
+                outcome.error = Some(error.to_string());
+                outcome.category = Some(error.category());
+                error
+            });
+        (result, outcome)
+    };
 
     let next = AtomicUsize::new(0);
-    type Slot = (Result<Structure, StrudelError>, FileOutcome);
-    let mut slots: Vec<Option<Slot>> = Vec::new();
+    let mut slots = Vec::new();
     slots.resize_with(inputs.len(), || None);
     let mut stage_timings = StageTimings::default();
-
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut produced: Vec<(usize, Slot)> = Vec::new();
+                    let mut produced = Vec::new();
                     let mut timings = StageTimings::default();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= inputs.len() {
                             break;
                         }
-                        produced.push((
-                            i,
-                            run_one(
-                                model,
-                                &inputs[i],
-                                inner_threads,
-                                &config.limits,
-                                &mut timings,
-                            ),
-                        ));
+                        produced.push((i, run_one(&inputs[i], &mut timings)));
                     }
                     (produced, timings)
                 })
@@ -350,178 +472,11 @@ pub fn detect_all(model: &Strudel, inputs: &[BatchInput], config: &BatchConfig) 
             }
         }
     });
-
-    let mut structures = Vec::with_capacity(inputs.len());
-    let mut outcomes = Vec::with_capacity(inputs.len());
-    for slot in slots {
-        let (structure, outcome) = slot.expect("every input claimed by a worker");
-        structures.push(structure);
-        outcomes.push(outcome);
-    }
-    BatchResult {
-        structures,
-        report: BatchReport {
-            stage_timings,
-            outcomes,
-            wall: start.elapsed(),
-            n_threads: threads,
-        },
-    }
-}
-
-/// Streamed counterpart of [`detect_all`]: every input flows through a
-/// [`StreamClassifier`] in [`STREAM_CHUNK_BYTES`] chunks, windows are
-/// dropped as soon as they are counted, and path inputs are read
-/// incrementally — so per-worker peak memory is O(window), not O(file).
-/// Because retaining the structures would defeat exactly that bound, the
-/// result is the [`BatchReport`] alone; [`FileOutcome::n_rows`] and
-/// [`FileOutcome::n_cells`] aggregate over all windows of each input.
-///
-/// `config` supplies the worker-pool shape and per-window limits (its
-/// `limits` and thread policy override the ones inside `stream`, keeping
-/// one source of truth with [`detect_all`]); `stream` supplies the
-/// window geometry.
-pub fn detect_all_streamed(
-    model: &Strudel,
-    inputs: &[BatchInput],
-    config: &BatchConfig,
-    stream: &StreamConfig,
-) -> BatchReport {
-    let start = Instant::now();
-    let threads = resolve_threads(config.n_threads).min(inputs.len()).max(1);
-    let inner_threads = inference_threads(threads);
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<FileOutcome>> = Vec::new();
-    slots.resize_with(inputs.len(), || None);
-    let mut stage_timings = StageTimings::default();
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut produced: Vec<(usize, FileOutcome)> = Vec::new();
-                    let mut timings = StageTimings::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= inputs.len() {
-                            break;
-                        }
-                        let cfg = StreamConfig {
-                            limits: config.limits,
-                            n_threads: inner_threads,
-                            ..stream.clone()
-                        };
-                        produced.push((i, run_one_streamed(model, &inputs[i], cfg, &mut timings)));
-                    }
-                    (produced, timings)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (produced, timings) = handle
-                .join()
-                .expect("streamed batch worker panicked outside catch_unwind");
-            stage_timings.merge(&timings);
-            for (i, outcome) in produced {
-                slots[i] = Some(outcome);
-            }
-        }
-    });
-
-    BatchReport {
-        stage_timings,
-        outcomes: slots
-            .into_iter()
-            .map(|s| s.expect("every input claimed by a worker"))
-            .collect(),
-        wall: start.elapsed(),
-        n_threads: threads,
-    }
-}
-
-/// Stream one input through a fresh classifier, counting rows/cells per
-/// window and dropping each window immediately.
-fn run_one_streamed(
-    model: &Strudel,
-    input: &BatchInput,
-    config: StreamConfig,
-    timings: &mut StageTimings,
-) -> FileOutcome {
-    let id = input.id();
-    let file_start = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| match input {
-        BatchInput::Path(p) => {
-            let mut file = std::fs::File::open(p).map_err(|e| StrudelError::io(&e, None))?;
-            stream_one(model, &mut file, config, timings)
-        }
-        BatchInput::Text { text, .. } => stream_one(model, &mut text.as_bytes(), config, timings),
-    }));
-    let result = match caught {
-        Ok(r) => r,
-        Err(payload) => Err(StrudelError::Internal {
-            file: None,
-            reason: panic_message(payload.as_ref()).to_string(),
-        }),
-    };
-    match result {
-        Ok((n_bytes, n_rows, n_cells)) => FileOutcome {
-            id,
-            n_rows,
-            n_cells,
-            n_bytes,
-            elapsed: file_start.elapsed(),
-            error: None,
-            category: None,
-        },
-        Err(error) => {
-            let error = error.with_file(id.clone());
-            FileOutcome {
-                id,
-                n_rows: 0,
-                n_cells: 0,
-                n_bytes: 0,
-                elapsed: file_start.elapsed(),
-                error: Some(error.to_string()),
-                category: Some(error.category()),
-            }
-        }
-    }
-}
-
-/// The bounded-memory inner loop of [`run_one_streamed`]: chunked reads,
-/// windows counted and dropped on the spot. Timings merge even when the
-/// stream fails, so partial work still shows up in the report.
-fn stream_one<R: std::io::Read>(
-    model: &Strudel,
-    reader: &mut R,
-    config: StreamConfig,
-    timings: &mut StageTimings,
-) -> Result<(usize, usize, usize), StrudelError> {
-    let mut classifier = StreamClassifier::new(model, config);
-    let mut n_cells = 0usize;
-    let mut chunk = vec![0u8; STREAM_CHUNK_BYTES];
-    let result = (|| {
-        loop {
-            let n = reader
-                .read(&mut chunk)
-                .map_err(|e| StrudelError::io(&e, None))?;
-            if n == 0 {
-                break;
-            }
-            classifier.push(&chunk[..n])?;
-            for w in classifier.drain_windows() {
-                n_cells += w.structure.cells.len();
-            }
-        }
-        let summary = classifier.finish()?;
-        for w in classifier.drain_windows() {
-            n_cells += w.structure.cells.len();
-        }
-        Ok((summary.total_bytes as usize, summary.n_rows, n_cells))
-    })();
-    timings.merge(classifier.timings());
-    result
+    let results = slots
+        .into_iter()
+        .map(|s| s.expect("every input claimed by a worker"))
+        .collect();
+    (results, stage_timings, threads)
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -533,75 +488,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib * 1024)
-}
-
-/// Process one input end to end. Failures are typed [`StrudelError`]s
-/// from the guarded pipeline; `catch_unwind` remains as a true last
-/// resort for bugs, surfacing as [`StrudelError::Internal`].
-fn run_one(
-    model: &Strudel,
-    input: &BatchInput,
-    inner_threads: usize,
-    limits: &Limits,
-    timings: &mut StageTimings,
-) -> (Result<Structure, StrudelError>, FileOutcome) {
-    let id = input.id();
-    let file_start = Instant::now();
-    let fail = |error: StrudelError, n_bytes: usize, elapsed: Duration| {
-        let error = error.with_file(id.clone());
-        let outcome = FileOutcome {
-            id: id.clone(),
-            n_rows: 0,
-            n_cells: 0,
-            n_bytes,
-            elapsed,
-            error: Some(error.to_string()),
-            category: Some(error.category()),
-        };
-        (Err(error), outcome)
-    };
-
-    let owned;
-    let bytes: &[u8] = match input {
-        BatchInput::Path(p) => match std::fs::read(p) {
-            Ok(b) => {
-                owned = b;
-                &owned
-            }
-            Err(e) => return fail(StrudelError::io(&e, None), 0, file_start.elapsed()),
-        },
-        BatchInput::Text { text, .. } => text.as_bytes(),
-    };
-
-    // The same guarded bytes path as `strudel detect`: the byte cap
-    // before UTF-8 decoding, and the per-file wall-clock budget started
-    // once the text is decoded.
-    let detected = catch_unwind(AssertUnwindSafe(|| {
-        model.try_detect_structure_bytes_metered(bytes, limits, inner_threads, timings)
-    }));
-    match detected {
-        Ok(Ok(structure)) => {
-            let outcome = FileOutcome {
-                id,
-                n_rows: structure.table.n_rows(),
-                n_cells: structure.cells.len(),
-                n_bytes: bytes.len(),
-                elapsed: file_start.elapsed(),
-                error: None,
-                category: None,
-            };
-            (Ok(structure), outcome)
-        }
-        Ok(Err(error)) => fail(error, bytes.len(), file_start.elapsed()),
-        Err(payload) => fail(
-            StrudelError::Internal {
-                file: None,
-                reason: panic_message(payload.as_ref()).to_string(),
-            },
-            bytes.len(),
-            file_start.elapsed(),
-        ),
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.

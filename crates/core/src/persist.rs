@@ -164,10 +164,17 @@ impl Strudel {
 
     /// Load a model from a file.
     pub fn load(path: impl AsRef<Path>) -> Result<Strudel, StrudelError> {
-        let name = path.as_ref().display().to_string();
-        let file = File::open(path.as_ref()).map_err(|e| StrudelError::io(&e, Some(&name)))?;
-        Strudel::read_from(BufReader::new(file)).map_err(|e| e.with_file(name))
+        load_file(path.as_ref())
     }
+}
+
+/// The body of [`Strudel::load`], outside its generic signature so the
+/// decoder is compiled once, here, and not per calling crate, where its
+/// inlining would hang on that crate's code layout.
+fn load_file(path: &Path) -> Result<Strudel, StrudelError> {
+    let name = path.display().to_string();
+    let file = File::open(path).map_err(|e| StrudelError::io(&e, Some(&name)))?;
+    Strudel::read_from(BufReader::new(file)).map_err(|e| e.with_file(name))
 }
 
 #[cfg(test)]

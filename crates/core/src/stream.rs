@@ -557,32 +557,41 @@ fn check_total_bytes(actual: u64, max_total: Option<u64>) -> Result<(), StrudelE
 /// Classify a [`std::io::Read`] source end to end in
 /// [`STREAM_CHUNK_BYTES`] chunks, invoking `on_window` for each emitted
 /// window as soon as it closes (peak memory stays O(window) as long as
-/// the callback does not retain the windows).
+/// the callback does not retain the windows). The classifier's stage
+/// timings merge into `timings` whether or not the stream succeeds, so
+/// the work done before a failure still shows up in the caller's sink.
 pub fn classify_reader<R: std::io::Read>(
     model: &Strudel,
     reader: &mut R,
     config: StreamConfig,
+    timings: &mut StageTimings,
     on_window: &mut dyn FnMut(StreamWindow),
-) -> Result<(StreamSummary, StageTimings), StrudelError> {
+) -> Result<StreamSummary, StrudelError> {
     let mut classifier = StreamClassifier::new(model, config);
     let mut chunk = vec![0u8; STREAM_CHUNK_BYTES];
-    loop {
-        let n = reader
-            .read(&mut chunk)
-            .map_err(|e| StrudelError::io(&e, None))?;
-        if n == 0 {
-            break;
+    let result = (|| {
+        loop {
+            let n = reader
+                .read(&mut chunk)
+                .map_err(|e| StrudelError::io(&e, None))?;
+            if n == 0 {
+                break;
+            }
+            classifier.push(&chunk[..n])?;
+            classifier
+                .drain_windows()
+                .into_iter()
+                .for_each(&mut *on_window);
         }
-        classifier.push(&chunk[..n])?;
-        for w in classifier.drain_windows() {
-            on_window(w);
-        }
-    }
-    let summary = classifier.finish()?;
-    for w in classifier.drain_windows() {
-        on_window(w);
-    }
-    Ok((summary, classifier.into_timings()))
+        let summary = classifier.finish()?;
+        classifier
+            .drain_windows()
+            .into_iter()
+            .for_each(&mut *on_window);
+        Ok(summary)
+    })();
+    timings.merge(classifier.timings());
+    result
 }
 
 /// Assemble the canonical [`Structure::to_json`] document from streamed
@@ -943,10 +952,12 @@ mod tests {
         let model = fitted();
         let text = multi_table_text();
         let mut windows = Vec::new();
-        let (summary, timings) = classify_reader(
+        let mut timings = StageTimings::default();
+        let summary = classify_reader(
             &model,
             &mut Cursor::new(text.as_bytes()),
             small_windows(),
+            &mut timings,
             &mut |w| windows.push(w),
         )
         .unwrap();
@@ -955,5 +966,29 @@ mod tests {
         assert_eq!(timings.count(Stage::Stream), 1);
         let (_, direct) = run_stream(&model, text.as_bytes(), small_windows(), 1024).unwrap();
         assert_eq!(stream_to_json(&windows), stream_to_json(&direct));
+    }
+
+    #[test]
+    fn classify_reader_keeps_timings_of_a_failed_stream() {
+        // The stream turns into invalid UTF-8 after whole windows have
+        // closed: the error is returned, and the closed windows' stage
+        // observations still land in the caller's sink.
+        let model = fitted();
+        let text = multi_table_text();
+        let mut windows = 0u64;
+        let mut timings = StageTimings::default();
+        let err = classify_reader(
+            &model,
+            &mut std::io::Read::chain(text.as_bytes(), &b"a,\xFFb\n"[..]),
+            small_windows(),
+            &mut timings,
+            &mut |_| windows += 1,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
+        assert!(windows >= 1, "a window must close before the bad byte");
+        for stage in [Stage::Parse, Stage::LineClassify, Stage::CellClassify] {
+            assert_eq!(timings.count(stage), windows, "{stage:?}");
+        }
     }
 }

@@ -49,6 +49,7 @@ pub use format::{BlockEntry, BlockKind, Directory, TableMeta, FORMAT_VERSION, MA
 pub use reader::PackReader;
 pub use writer::{PackWriter, Packed};
 
+use std::io::Read;
 use strudel::{Stage, StageTimer, StageTimings, StreamConfig, Strudel, StrudelError};
 use strudel_dialect::Dialect;
 
@@ -100,11 +101,32 @@ pub fn pack_bytes_metered(
     config: StreamConfig,
     timings: &mut StageTimings,
 ) -> Result<Packed, StrudelError> {
+    pack_reader(model, &mut &bytes[..], config, timings)
+}
+
+/// Pack everything `reader` yields, read in
+/// [`STREAM_CHUNK_BYTES`](strudel::STREAM_CHUNK_BYTES) chunks and
+/// metered like [`pack_bytes_metered`]. The container is a function of
+/// the byte stream alone, so a file and the same bytes in memory pack
+/// identically.
+pub fn pack_reader<R: Read>(
+    model: &Strudel,
+    reader: &mut R,
+    config: StreamConfig,
+    timings: &mut StageTimings,
+) -> Result<Packed, StrudelError> {
     let timer = StageTimer::start(Stage::Pack);
     let result = (|| {
         let mut writer = PackWriter::new(model, config);
-        for chunk in bytes.chunks(strudel::STREAM_CHUNK_BYTES) {
-            writer.push(chunk)?;
+        let mut chunk = vec![0u8; strudel::STREAM_CHUNK_BYTES];
+        loop {
+            let n = reader
+                .read(&mut chunk)
+                .map_err(|e| StrudelError::io(&e, None))?;
+            if n == 0 {
+                break;
+            }
+            writer.push(&chunk[..n])?;
         }
         writer.finish()
     })();

@@ -51,6 +51,8 @@ pub struct PackReader<'a> {
     dir: Directory,
     /// group → index into `dir.blocks` of its skeleton block.
     skeleton_of_group: Vec<usize>,
+    /// group → its tables, in document order.
+    tables_of_group: Vec<Vec<usize>>,
     /// table → column → index into `dir.blocks`.
     column_blocks: Vec<Vec<usize>>,
     blocks_read: u64,
@@ -111,6 +113,10 @@ impl<'a> PackReader<'a> {
                 dir_offset,
                 format!("table {t} references group {}", dir.tables[t].group),
             ));
+        }
+        let mut tables_of_group: Vec<Vec<usize>> = vec![Vec::new(); groups as usize];
+        for (t, meta) in dir.tables.iter().enumerate() {
+            tables_of_group[meta.group as usize].push(t);
         }
         let mut skeleton_of_group: Vec<Option<usize>> = vec![None; groups as usize];
         let mut column_blocks: Vec<Vec<Option<usize>>> = dir
@@ -202,6 +208,7 @@ impl<'a> PackReader<'a> {
             data,
             dir,
             skeleton_of_group,
+            tables_of_group,
             column_blocks,
             blocks_read: 0,
         })
@@ -278,80 +285,8 @@ impl<'a> PackReader<'a> {
         if self.dir.bom {
             out.extend_from_slice(&[0xEF, 0xBB, 0xBF]);
         }
-        let mut delim = [0u8; 4];
-        let delim = self
-            .dir
-            .dialect
-            .delimiter
-            .encode_utf8(&mut delim)
-            .as_bytes()
-            .to_vec();
         for group in 0..self.skeleton_of_group.len() {
-            let skeleton = decode_skeleton(self.block_payload(self.skeleton_of_group[group])?)?;
-            // Decode every column stream of the group's tables into
-            // cursors the skeleton walk pops from.
-            let mut streams: HashMap<usize, Vec<std::vec::IntoIter<Option<&[u8]>>>> =
-                HashMap::new();
-            let group_tables: Vec<usize> = (0..self.dir.tables.len())
-                .filter(|&t| self.dir.tables[t].group == group as u64)
-                .collect();
-            for t in group_tables {
-                let mut cols = Vec::new();
-                for c in 0..self.column_blocks[t].len() {
-                    let index = self.column_blocks[t][c];
-                    cols.push(decode_column(self.block_payload(index)?)?.into_iter());
-                }
-                streams.insert(t, cols);
-            }
-            for row in &skeleton {
-                match row {
-                    SkeletonRow::Verbatim { bytes, term }
-                    | SkeletonRow::Header { bytes, term, .. } => {
-                        out.extend_from_slice(bytes);
-                        out.extend_from_slice(term.as_str().as_bytes());
-                    }
-                    SkeletonRow::Body {
-                        table,
-                        n_fields,
-                        term,
-                    } => {
-                        let cols = streams.get_mut(table).ok_or_else(|| {
-                            corrupt(0, format!("body row references foreign table {table}"))
-                        })?;
-                        if *n_fields > cols.len() {
-                            return Err(corrupt(
-                                0,
-                                format!(
-                                    "body row wants {n_fields} fields of {} columns",
-                                    cols.len()
-                                ),
-                            ));
-                        }
-                        // Every column stream holds one entry per body
-                        // row (absent markers for ragged rows), so all
-                        // cursors advance together.
-                        for (c, col) in cols.iter_mut().enumerate() {
-                            let entry = col.next().ok_or_else(|| {
-                                corrupt(0, format!("column {c} of table {table} ran out of values"))
-                            })?;
-                            if c >= *n_fields {
-                                continue;
-                            }
-                            if c > 0 {
-                                out.extend_from_slice(&delim);
-                            }
-                            let value = entry.ok_or_else(|| {
-                                corrupt(
-                                    0,
-                                    format!("column {c} of table {table} is missing a value"),
-                                )
-                            })?;
-                            out.extend_from_slice(value);
-                        }
-                        out.extend_from_slice(term.as_str().as_bytes());
-                    }
-                }
-            }
+            self.reassemble(group, None, &mut out)?;
         }
         let got = ContentHash::of(&out);
         if got != self.dir.original {
@@ -372,12 +307,39 @@ impl<'a> PackReader<'a> {
             .tables
             .get(table)
             .ok_or_else(|| out_of_range(table, self.dir.tables.len()))?;
-        let group = meta.group as usize;
+        let mut out = Vec::new();
+        self.reassemble(meta.group as usize, Some(table), &mut out)?;
+        String::from_utf8(out).map_err(|e| {
+            corrupt(
+                e.utf8_error().valid_up_to() as u64,
+                "table text is not UTF-8",
+            )
+        })
+    }
+
+    /// The one row reassembler behind [`unpack`](PackReader::unpack) and
+    /// [`extract_table`](PackReader::extract_table): walk `group`'s
+    /// skeleton and append every row to `out` (`only` = `None`), or
+    /// only the header and body rows of table `only`. Each selected
+    /// table's column streams are decoded into cursors that the body
+    /// rows pop from, so the walk reads the group's skeleton block plus
+    /// the selected tables' column blocks only.
+    fn reassemble(
+        &mut self,
+        group: usize,
+        only: Option<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StrudelError> {
         let skeleton = decode_skeleton(self.block_payload(self.skeleton_of_group[group])?)?;
-        let mut cols = Vec::new();
-        for c in 0..self.column_blocks[table].len() {
-            let index = self.column_blocks[table][c];
-            cols.push(decode_column(self.block_payload(index)?)?.into_iter());
+        let tables = only.map_or_else(|| self.tables_of_group[group].clone(), |t| vec![t]);
+        let mut streams: HashMap<usize, Vec<std::vec::IntoIter<Option<&[u8]>>>> = HashMap::new();
+        for t in tables {
+            let mut cols = Vec::new();
+            for c in 0..self.column_blocks[t].len() {
+                let index = self.column_blocks[t][c];
+                cols.push(decode_column(self.block_payload(index)?)?.into_iter());
+            }
+            streams.insert(t, cols);
         }
         let mut delim = [0u8; 4];
         let delim = self
@@ -385,30 +347,35 @@ impl<'a> PackReader<'a> {
             .dialect
             .delimiter
             .encode_utf8(&mut delim)
-            .as_bytes()
-            .to_vec();
-        let mut out = Vec::new();
+            .as_bytes();
+        let selected = |table: usize| only.is_none_or(|t| t == table);
         for row in &skeleton {
             match row {
-                SkeletonRow::Header {
-                    table: t,
-                    bytes,
-                    term,
-                } if *t == table => {
+                SkeletonRow::Verbatim { bytes, term } if only.is_none() => {
+                    out.extend_from_slice(bytes);
+                    out.extend_from_slice(term.as_str().as_bytes());
+                }
+                SkeletonRow::Header { table, bytes, term } if selected(*table) => {
                     out.extend_from_slice(bytes);
                     out.extend_from_slice(term.as_str().as_bytes());
                 }
                 SkeletonRow::Body {
-                    table: t,
+                    table,
                     n_fields,
                     term,
-                } if *t == table => {
+                } if selected(*table) => {
+                    let cols = streams.get_mut(table).ok_or_else(|| {
+                        corrupt(0, format!("body row references foreign table {table}"))
+                    })?;
                     if *n_fields > cols.len() {
                         return Err(corrupt(
                             0,
                             format!("body row wants {n_fields} fields of {} columns", cols.len()),
                         ));
                     }
+                    // Every column stream holds one entry per body row
+                    // (absent markers for ragged rows), so all cursors
+                    // advance together.
                     for (c, col) in cols.iter_mut().enumerate() {
                         let entry = col.next().ok_or_else(|| {
                             corrupt(0, format!("column {c} of table {table} ran out of values"))
@@ -417,7 +384,7 @@ impl<'a> PackReader<'a> {
                             continue;
                         }
                         if c > 0 {
-                            out.extend_from_slice(&delim);
+                            out.extend_from_slice(delim);
                         }
                         let value = entry.ok_or_else(|| {
                             corrupt(0, format!("column {c} of table {table} is missing a value"))
@@ -429,12 +396,7 @@ impl<'a> PackReader<'a> {
                 _ => {}
             }
         }
-        String::from_utf8(out).map_err(|e| {
-            corrupt(
-                e.utf8_error().valid_up_to() as u64,
-                "table text is not UTF-8",
-            )
-        })
+        Ok(())
     }
 
     /// Extract one column of one table as parsed *values* (quoting and
@@ -473,6 +435,35 @@ impl<'a> PackReader<'a> {
                     .transpose()
             })
             .collect()
+    }
+
+    /// The selection `strudel unpack` and `GET /pack/<key>` share. With
+    /// no selector it is the full [`unpack`](PackReader::unpack); with
+    /// `table` alone, [`extract_table`](PackReader::extract_table); with
+    /// `column`, the values of the first column of that name (in table
+    /// `table`, when given), one per line, an absent value as an empty
+    /// line. `Ok(None)` means no such column exists: each caller words
+    /// that failure itself.
+    pub fn select(
+        &mut self,
+        table: Option<usize>,
+        column: Option<&str>,
+    ) -> Result<Option<Vec<u8>>, StrudelError> {
+        match (column, table) {
+            (Some(name), table) => {
+                let Some((t, c)) = self.find_column(name, table) else {
+                    return Ok(None);
+                };
+                let mut text = String::new();
+                for value in self.extract_column(t, c)? {
+                    text.push_str(&value.unwrap_or_default());
+                    text.push('\n');
+                }
+                Ok(Some(text.into_bytes()))
+            }
+            (None, Some(table)) => Ok(Some(self.extract_table(table)?.into_bytes())),
+            (None, None) => self.unpack().map(Some),
+        }
     }
 }
 

@@ -15,9 +15,11 @@
 //! the connection persists (honoring case-insensitive `Connection`
 //! tokens and the HTTP/1.0 default), and [`Response::write_to_conn`]
 //! frames the response with the matching `Connection: keep-alive` /
-//! `close` header. Chunked transfer encoding is spoken only where
-//! streaming demands it: the streaming classify route reads chunked
-//! request bodies through [`BodyDecoder`] and answers through
+//! `close` header. [`body_length`] is the one reading of a request's
+//! `Content-Length` and `Transfer-Encoding`, for the readiness loop and
+//! for [`BodyDecoder`] alike. Chunked transfer encoding is spoken only
+//! where streaming demands it: the streaming classify route reads
+//! chunked request bodies through [`BodyDecoder`] and answers through
 //! [`ChunkedWriter`] (always `Connection: close`); every other route
 //! keeps the strict `Content-Length` contract (chunked requests get
 //! `501`).
@@ -108,39 +110,6 @@ pub enum HttpError {
     Io(std::io::Error),
 }
 
-/// Read and parse one request from the stream.
-///
-/// `max_body` caps the declared `Content-Length`; an oversized request
-/// is rejected *before* its body is read, so a client cannot make the
-/// server buffer data it is going to refuse anyway.
-pub fn read_request(stream: &mut TcpStream, max_body: u64) -> Result<Request, HttpError> {
-    let (request, leftover) = read_request_head(stream)?;
-    read_request_body(stream, request, leftover, max_body)
-}
-
-/// Read and parse one request head (request line + headers), leaving
-/// the body on the wire. Returns the request (body empty) together with
-/// any body prefix the head read happened to pull in — feed it to
-/// [`read_request_body`] or a [`BodyDecoder`].
-pub fn read_request_head(stream: &mut TcpStream) -> Result<(Request, Vec<u8>), HttpError> {
-    // Accumulate until the blank line that ends the head.
-    let mut buf = Vec::with_capacity(1024);
-    loop {
-        if let Some((request, body_start)) = parse_request_head(&buf)? {
-            let leftover = buf.split_off(body_start);
-            return Ok((request, leftover));
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
-            return Err(HttpError::Malformed(
-                "connection closed before request head completed".to_string(),
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// Parse one request head out of an accumulation buffer, without
 /// touching a socket — the entry point of the keep-alive readiness
 /// loop, which reads whatever the wire offers and retries as bytes
@@ -217,52 +186,60 @@ pub fn parse_request_head(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpEr
     Ok(Some((request, head_end + 4))) // past "\r\n\r\n"
 }
 
-/// Read a strictly `Content-Length`-framed body into the request —
-/// the framing contract of every non-streaming route. Any
-/// `Transfer-Encoding` is refused with [`HttpError::Unsupported`]
-/// (responds 501); `leftover` is the body prefix returned by
-/// [`read_request_head`].
-pub fn read_request_body(
-    stream: &mut TcpStream,
-    mut request: Request,
-    leftover: Vec<u8>,
+/// How a request's body is framed — the one place `Content-Length`
+/// and `Transfer-Encoding` are read. `None` is a chunked body, which
+/// only a route that `speaks_chunked` accepts; any other transfer
+/// encoding is [`HttpError::Unsupported`] (responds 501). `Some(n)` is
+/// a `Content-Length` body (`0` without the header), refused with
+/// [`HttpError::BodyTooLarge`] above `max_body` before any of it is
+/// read. As RFC 9112 §6.3 asks, a `Content-Length` that is not
+/// `1*DIGIT`, or several that disagree, is [`HttpError::Malformed`]
+/// (responds 400): a lenient reading would frame the body differently
+/// from a proxy in front of the daemon.
+pub fn body_length(
+    request: &Request,
+    speaks_chunked: bool,
     max_body: u64,
-) -> Result<Request, HttpError> {
-    if let Some(te) = request.header("transfer-encoding") {
-        return Err(HttpError::Unsupported(format!(
-            "transfer-encoding {te:?} not supported; use content-length framing"
-        )));
+) -> Result<Option<u64>, HttpError> {
+    match request.header("transfer-encoding") {
+        Some(te) if speaks_chunked && te.eq_ignore_ascii_case("chunked") => return Ok(None),
+        Some(te) => {
+            let framings = if speaks_chunked {
+                "chunked or content-length"
+            } else {
+                "content-length"
+            };
+            return Err(HttpError::Unsupported(format!(
+                "transfer-encoding {te:?} not supported; use {framings} framing"
+            )));
+        }
+        None => {}
     }
-    let content_length: u64 = match request.header("content-length") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| HttpError::Malformed(format!("invalid content-length {v:?}")))?,
-        None => 0,
-    };
-    if content_length > max_body {
+    let mut declared = None;
+    for (_, v) in request
+        .headers
+        .iter()
+        .filter(|(n, _)| n == "content-length")
+    {
+        let n = Some(v)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<u64>().ok())
+            .ok_or_else(|| HttpError::Malformed(format!("invalid content-length {v:?}")))?;
+        if declared.is_some_and(|d| d != n) {
+            return Err(HttpError::Malformed(
+                "conflicting content-length values".to_string(),
+            ));
+        }
+        declared = Some(n);
+    }
+    let declared = declared.unwrap_or(0);
+    if declared > max_body {
         return Err(HttpError::BodyTooLarge {
-            declared: content_length,
+            declared,
             max: max_body,
         });
     }
-
-    let mut body = leftover;
-    body.truncate(content_length as usize);
-    let mut remaining = content_length as usize - body.len();
-    body.reserve_exact(remaining);
-    while remaining > 0 {
-        let mut chunk = vec![0u8; remaining.min(64 * 1024)];
-        let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-        if n == 0 {
-            return Err(HttpError::Malformed(format!(
-                "connection closed {remaining} bytes short of the declared content-length"
-            )));
-        }
-        body.extend_from_slice(&chunk[..n]);
-        remaining -= n;
-    }
-    request.body = body;
-    Ok(request)
+    Ok(Some(declared))
 }
 
 /// Byte offset of the `\r\n\r\n` separator, if present.
@@ -318,41 +295,19 @@ enum ChunkState {
 }
 
 impl BodyDecoder {
-    /// Choose the framing from the request headers. `leftover` is the
-    /// body prefix returned by [`read_request_head`]. Unlike
-    /// [`read_request_body`], `Transfer-Encoding: chunked` is accepted;
-    /// any other transfer encoding is still [`HttpError::Unsupported`].
+    /// Choose the framing from the request headers ([`body_length`],
+    /// chunked accepted). `leftover` holds the body bytes already read
+    /// past the request head.
     pub fn new(
         request: &Request,
         leftover: Vec<u8>,
         max_body: u64,
     ) -> Result<BodyDecoder, HttpError> {
-        let framing = match request.header("transfer-encoding") {
-            Some(te) if te.eq_ignore_ascii_case("chunked") => Framing::Chunked {
+        let framing = match body_length(request, true, max_body)? {
+            Some(remaining) => Framing::Length { remaining },
+            None => Framing::Chunked {
                 state: ChunkState::Size,
             },
-            Some(te) => {
-                return Err(HttpError::Unsupported(format!(
-                    "transfer-encoding {te:?} not supported; use chunked or content-length framing"
-                )))
-            }
-            None => {
-                let declared: u64 = match request.header("content-length") {
-                    Some(v) => v.parse().map_err(|_| {
-                        HttpError::Malformed(format!("invalid content-length {v:?}"))
-                    })?,
-                    None => 0,
-                };
-                if declared > max_body {
-                    return Err(HttpError::BodyTooLarge {
-                        declared,
-                        max: max_body,
-                    });
-                }
-                Framing::Length {
-                    remaining: declared,
-                }
-            }
         };
         Ok(BodyDecoder {
             framing,
@@ -427,10 +382,15 @@ impl BodyDecoder {
                             std::str::from_utf8(&self.pending[..line_end]).map_err(|_| {
                                 HttpError::Malformed("chunk-size line is not UTF-8".to_string())
                             })?;
+                        // `1*HEXDIG` (RFC 9112 §7.1): `from_str_radix`
+                        // alone would take a leading `+`.
                         let digits = line.split(';').next().unwrap_or(line).trim();
-                        let size = u64::from_str_radix(digits, 16).map_err(|_| {
-                            HttpError::Malformed(format!("invalid chunk size {digits:?}"))
-                        })?;
+                        let size = Some(digits)
+                            .filter(|d| d.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|d| u64::from_str_radix(d, 16).ok())
+                            .ok_or_else(|| {
+                                HttpError::Malformed(format!("invalid chunk size {digits:?}"))
+                            })?;
                         self.pending.drain(..line_end + 2);
                         *state = if size == 0 {
                             ChunkState::Trailers
@@ -809,6 +769,20 @@ mod tests {
             let mut decoder = BodyDecoder::new(&chunked_request(), wire, 1 << 20).unwrap();
             assert!(settle_all(&mut decoder).is_err());
         }
+    }
+
+    #[test]
+    fn chunk_sizes_and_content_lengths_are_digits_only() {
+        // `from_str_radix` and `u64::from_str` both take a leading `+`.
+        let wire = b"+a\r\n0123456789\r\n0\r\n\r\n".to_vec();
+        let mut decoder = BodyDecoder::new(&chunked_request(), wire, 1 << 20).unwrap();
+        assert!(settle_all(&mut decoder).is_err());
+        let mut request = chunked_request();
+        request.headers = vec![("content-length".to_string(), "+3".to_string())];
+        assert!(matches!(
+            BodyDecoder::new(&request, b"abc".to_vec(), 1 << 20),
+            Err(HttpError::Malformed(_))
+        ));
     }
 
     #[test]

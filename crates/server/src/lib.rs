@@ -37,10 +37,11 @@
 //! - **Admission control**: each shard owns a fixed connection budget;
 //!   overflow is shed immediately with `503` + `Retry-After` +
 //!   `Connection: close`, so latency stays bounded under overload.
-//! - **Result caching**: content-hash-keyed per-shard LRUs map request
-//!   bytes to finished structure JSON (and `/pack` containers);
-//!   repeat requests skip the whole pipeline. Hit/miss counters for
-//!   both cache families are exported via `/metrics`.
+//! - **Result caching**: one content-hash-keyed LRU maps request bytes
+//!   to finished structure JSON, and a second one holds `/pack`
+//!   containers; repeat requests skip the whole pipeline, whichever
+//!   shard accepts them. Hit/miss counters for both cache families are
+//!   exported via `/metrics`.
 //! - **Per-request limits**: the core [`Limits`](strudel::Limits) and
 //!   deadline machinery bounds bytes, rows, cells, and wall clock per
 //!   request; an oversized body is refused with `413` *before* it is

@@ -1,14 +1,9 @@
 //! The daemon's metrics registry and its Prometheus text rendering.
 //!
 //! Counters are lock-free atomics bumped on the request path. The
-//! per-stage pipeline timings are shard-sharded: each shard owns one
-//! [`StageTimings`] slot behind its own mutex, written only by that
-//! shard's serving loop — so the accept→serve hot path never contends
-//! on a shared timing lock (the old design funnelled every request
-//! through one global `Mutex<StageTimings>`). The slots are merged into
-//! one accumulator only at `GET /metrics` scrape time, which is sound
-//! because [`StageTimings::merge`] is commutative and associative (the
-//! property the batch engine's merge proptests pin).
+//! per-stage pipeline timings accumulate in one [`StageTimings`] sink
+//! behind a mutex: every request merges its local timings once, after
+//! its pipeline ran, and a `GET /metrics` scrape renders the sink.
 //!
 //! `GET /metrics` renders everything in Prometheus text exposition
 //! format: request counters by endpoint and outcome, the two cache
@@ -77,15 +72,13 @@ pub struct Registry {
     pub shed: AtomicU64,
     /// Total classify request-body bytes accepted.
     pub bytes_in: AtomicU64,
-    /// Per-shard pipeline timing slots; each shard writes only its own,
-    /// the scrape merges them all.
-    shard_timings: Vec<Mutex<StageTimings>>,
+    /// Pipeline stage timings of every request served.
+    timings: Mutex<StageTimings>,
 }
 
 impl Registry {
-    /// A fresh registry with one timing slot per shard; uptime counts
-    /// from now.
-    pub fn new(n_shards: usize) -> Registry {
+    /// A fresh registry; uptime counts from now.
+    pub fn new() -> Registry {
         Registry {
             started: Instant::now(),
             classify_ok: AtomicU64::new(0),
@@ -108,9 +101,7 @@ impl Registry {
             connections: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
-            shard_timings: (0..n_shards.max(1))
-                .map(|_| Mutex::new(StageTimings::default()))
-                .collect(),
+            timings: Mutex::new(StageTimings::default()),
         }
     }
 
@@ -119,26 +110,12 @@ impl Registry {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fold a request's local stage timings into the owning shard's
-    /// slot. Only that shard calls this, so the lock is uncontended on
-    /// the hot path (the scrape takes it briefly at merge time).
-    pub fn merge_timings(&self, shard: usize, timings: &StageTimings) {
-        let slot = &self.shard_timings[shard % self.shard_timings.len()];
-        if let Ok(mut guard) = slot.lock() {
-            guard.merge(timings);
-        }
-    }
-
-    /// Merge every shard's timing slot into one accumulator — the
-    /// scrape-time merge (commutative, so shard order is irrelevant).
-    pub fn merged_timings(&self) -> StageTimings {
-        let mut merged = StageTimings::default();
-        for slot in &self.shard_timings {
-            if let Ok(guard) = slot.lock() {
-                merged.merge(&guard);
-            }
-        }
-        merged
+    /// Fold a request's local stage timings into the sink.
+    pub fn merge_timings(&self, timings: &StageTimings) {
+        self.timings
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .merge(timings);
     }
 
     /// Render the registry in Prometheus text exposition format.
@@ -203,14 +180,15 @@ impl Registry {
             "# TYPE strudel_bytes_per_second gauge\nstrudel_bytes_per_second {:.3}\n",
             rate(get(&self.bytes_in) as f64, uptime)
         ));
-        out.push_str(&self.merged_timings().to_prometheus("strudel"));
+        let timings = self.timings.lock().unwrap_or_else(|e| e.into_inner());
+        out.push_str(&timings.to_prometheus("strudel"));
         out
     }
 }
 
 impl Default for Registry {
     fn default() -> Registry {
-        Registry::new(1)
+        Registry::new()
     }
 }
 
@@ -222,14 +200,14 @@ mod tests {
 
     #[test]
     fn render_contains_every_family() {
-        let registry = Registry::new(2);
+        let registry = Registry::new();
         Registry::bump(&registry.classify_ok);
         Registry::bump(&registry.cache_hits);
         Registry::bump(&registry.pack_cache_misses);
         Registry::bump(&registry.connections);
         let mut local = StageTimings::default();
         local.record(Stage::Dialect, Duration::from_millis(2));
-        registry.merge_timings(0, &local);
+        registry.merge_timings(&local);
         let text = registry.render();
         for needle in [
             "strudel_requests_total{endpoint=\"classify\",outcome=\"ok\"} 1",
@@ -257,17 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_slots_merge_at_scrape_time() {
-        // Timings recorded into different shard slots show up summed in
-        // one render — the commutative scrape-time merge.
-        let registry = Registry::new(3);
-        for shard in 0..3 {
+    fn requests_merge_into_one_sink() {
+        // Three requests' timings show up summed in one render.
+        let registry = Registry::new();
+        for _ in 0..3 {
             let mut local = StageTimings::default();
             local.record(Stage::Parse, Duration::from_millis(10));
-            registry.merge_timings(shard, &local);
+            registry.merge_timings(&local);
         }
-        let merged = registry.merged_timings();
-        assert_eq!(merged.count(Stage::Parse), 3);
         let text = registry.render();
         assert!(
             text.contains("strudel_stage_observations_total{stage=\"parse\"} 3"),

@@ -12,12 +12,11 @@
 //! There is no accept queue and no handoff lock — a connection lives
 //! its whole life (accept → pipelined requests → close) on the shard
 //! that accepted it, and the kernel spreads accept readiness across
-//! the shards. The only cross-shard state a request touches is the
-//! model `RwLock<Arc<Strudel>>` (read-locked just long enough to clone
-//! the `Arc`) and the shutdown flag; caches and stage timings are
-//! shard-local (below). Each shard pins per-request inference to one
-//! thread (like the batch engine), so N shards use N cores, not
-//! N × cores.
+//! the shards. The state shared between shards is the model
+//! `RwLock<Arc<Strudel>>` (read-locked just long enough to clone the
+//! `Arc`), the shutdown flag, and the caches and stage timings (below).
+//! Each shard pins per-request inference to one thread (like the batch
+//! engine), so N shards use N cores, not N × cores.
 //!
 //! ## Admission control
 //!
@@ -31,11 +30,12 @@
 //!
 //! ## Caches and metrics
 //!
-//! Result and pack caches are per-shard LRU pairs: inserts go to the
-//! owning shard only, lookups probe the owning shard first and then
-//! its peers (repeat traffic lands on arbitrary shards). Stage
-//! timings accumulate into per-shard slots merged only at `/metrics`
-//! scrape time ([`Registry::merge_timings`]).
+//! The daemon keeps one result LRU and one pack LRU, each behind its
+//! own mutex, so packing cannot evict classification results and
+//! `--cache N` holds exactly N entries of each. A hit takes one lock
+//! for the lookup; a miss takes it again to insert after the pipeline
+//! ran unlocked. Every request's stage timings merge into the
+//! registry's one sink ([`Registry::merge_timings`]).
 //!
 //! ## Model lifecycle
 //!
@@ -45,8 +45,8 @@
 //! classifications: the new model is fully loaded and validated (the
 //! corrupt-model checks of `Strudel::load`) *before* the write lock is
 //! taken for the pointer swap, and a rejected file leaves the old model
-//! serving. A successful swap clears every shard's caches — a new
-//! model may classify the same bytes differently.
+//! serving. A successful swap clears both caches — a new model may
+//! classify the same bytes differently.
 //!
 //! ## Shutdown
 //!
@@ -84,8 +84,8 @@ pub struct ServerConfig {
     /// Per-shard admission budget: concurrent connections a shard owns
     /// beyond this are shed with `503`.
     pub conns_per_shard: usize,
-    /// Result-cache capacity in entries, split evenly across the
-    /// shards; `0` disables caching.
+    /// Capacity in entries of the result cache, and separately of the
+    /// pack cache; `0` disables caching.
     pub cache_capacity: usize,
     /// Per-request input limits and wall-clock budget (the PR 3
     /// [`Limits`] machinery; `max_input_bytes` doubles as the HTTP body
@@ -129,23 +129,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// One shard's private cache pair. Inserts always target the owning
-/// shard; lookups probe peers too (see [`Shared::cached_result`]), so
-/// no request ever contends on a single global cache lock.
-struct ShardCaches {
+/// State shared between the shards.
+pub(crate) struct Shared {
+    model: RwLock<Arc<Strudel>>,
+    model_path: Mutex<Option<PathBuf>>,
     results: Mutex<ResultCache<Arc<String>>>,
     /// Finished containers by the content hash of the *original* bytes
     /// — the same fingerprint `POST /pack` returns in
     /// `X-Strudel-Pack-Key`, so a later `GET /pack/<key>` addresses the
     /// container without resending the input.
     packs: Mutex<ResultCache<Arc<Vec<u8>>>>,
-}
-
-/// State shared between the shards.
-pub(crate) struct Shared {
-    model: RwLock<Arc<Strudel>>,
-    model_path: Mutex<Option<PathBuf>>,
-    shards: Vec<ShardCaches>,
     pub(crate) registry: Registry,
     pub(crate) limits: Limits,
     pub(crate) conns_per_shard: usize,
@@ -173,30 +166,6 @@ impl Shared {
     /// every one notices within ~one tick without any wakeup plumbing.
     pub(crate) fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-    }
-
-    /// The shard-local caches owned by `shard`.
-    fn caches(&self, shard: usize) -> &ShardCaches {
-        &self.shards[shard % self.shards.len()]
-    }
-
-    /// Probe every shard's cache, the owning shard first — inserts are
-    /// shard-local, but repeat traffic lands on arbitrary shards, so a
-    /// lookup must see its peers' entries too. Each probe takes one
-    /// shard-local lock briefly; there is no global cache lock.
-    fn probe<V>(&self, shard: usize, mut get: impl FnMut(&ShardCaches) -> Option<V>) -> Option<V> {
-        let n = self.shards.len();
-        (0..n)
-            .map(|i| (shard + i) % n)
-            .find_map(|i| get(&self.shards[i]))
-    }
-
-    fn cached_result(&self, shard: usize, key: &CacheKey) -> Option<Arc<String>> {
-        self.probe(shard, |caches| lock(&caches.results).get(key))
-    }
-
-    fn cached_pack(&self, shard: usize, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
-        self.probe(shard, |caches| lock(&caches.packs).get(key))
     }
 }
 
@@ -233,19 +202,12 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let n_shards = resolve_threads(config.n_shards).max(1);
-        // Split the configured capacity across the shards so the total
-        // cache footprint matches the single-cache era.
-        let per_shard_cache = config.cache_capacity.div_ceil(n_shards);
         let shared = Arc::new(Shared {
             model: RwLock::new(Arc::new(model)),
             model_path: Mutex::new(config.model_path.clone()),
-            shards: (0..n_shards)
-                .map(|_| ShardCaches {
-                    results: Mutex::new(ResultCache::new(per_shard_cache)),
-                    packs: Mutex::new(ResultCache::new(per_shard_cache)),
-                })
-                .collect(),
-            registry: Registry::new(n_shards),
+            results: Mutex::new(ResultCache::new(config.cache_capacity)),
+            packs: Mutex::new(ResultCache::new(config.cache_capacity)),
+            registry: Registry::new(),
             limits: config.limits,
             conns_per_shard: config.conns_per_shard.max(1),
             idle_timeout: config.idle_timeout,
@@ -287,7 +249,7 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("strudel-shard-{i}"))
-                    .spawn(move || crate::shard::run_shard(&shared, i, listener))
+                    .spawn(move || crate::shard::run_shard(&shared, listener))
                     .expect("spawn shard")
             })
             .collect();
@@ -362,7 +324,7 @@ pub(crate) fn respond_framing_error(shared: &Shared, stream: &mut TcpStream, err
 
 /// Dispatch a parsed request to its handler. The boolean asks the
 /// caller to initiate shutdown once the response has been written.
-pub(crate) fn route(shared: &Shared, shard: usize, request: &Request) -> (Response, bool) {
+pub(crate) fn route(shared: &Shared, request: &Request) -> (Response, bool) {
     const ROUTES: [&str; 7] = [
         "/",
         "/classify",
@@ -373,25 +335,9 @@ pub(crate) fn route(shared: &Shared, shard: usize, request: &Request) -> (Respon
         "/pack",
     ];
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/classify") | ("POST", "/") => (classify(shared, shard, &request.body), false),
-        ("POST", "/pack") => (pack(shared, shard, &request.body), false),
-        ("GET", path) if path.strip_prefix("/pack/").is_some() => {
-            (unpack(shared, shard, request), false)
-        }
-        (_, path) if path.strip_prefix("/pack/").is_some() => {
-            Registry::bump(&shared.registry.http_err);
-            (
-                Response::json(
-                    405,
-                    error_body(
-                        &format!("method {} not allowed", request.method),
-                        "http",
-                        None,
-                    ),
-                ),
-                false,
-            )
-        }
+        ("POST", "/classify") | ("POST", "/") => (classify(shared, &request.body), false),
+        ("POST", "/pack") => (pack(shared, &request.body), false),
+        ("GET", path) if path.starts_with("/pack/") => (unpack(shared, request), false),
         ("GET", "/healthz") => {
             Registry::bump(&shared.registry.healthz);
             (Response::text(200, "ok\n"), false)
@@ -409,7 +355,11 @@ pub(crate) fn route(shared: &Shared, shard: usize, request: &Request) -> (Respon
         }
         ("POST", "/admin/reload") => (reload(shared, &request.body), false),
         ("POST", "/admin/shutdown") => (Response::json(200, "{\"shutting_down\": true}\n"), true),
-        (_, path) if path == "/admin/shutdown" || ROUTES.contains(&path) => {
+        (_, path)
+            if path.starts_with("/pack/")
+                || path == "/admin/shutdown"
+                || ROUTES.contains(&path) =>
+        {
             Registry::bump(&shared.registry.http_err);
             (
                 Response::json(
@@ -435,13 +385,16 @@ pub(crate) fn route(shared: &Shared, shard: usize, request: &Request) -> (Respon
 
 /// `POST /classify`: cache lookup, then the full guarded pipeline on a
 /// snapshot of the current model.
-fn classify(shared: &Shared, shard: usize, body: &[u8]) -> Response {
+fn classify(shared: &Shared, body: &[u8]) -> Response {
     shared
         .registry
         .bytes_in
         .fetch_add(body.len() as u64, Ordering::Relaxed);
     let key = CacheKey::of(body);
-    if let Some(cached) = shared.cached_result(shard, &key) {
+    // A `let` of its own, so the cache lock is released before the
+    // response is built, not at the end of the `if let`.
+    let cached = lock(&shared.results).get(&key);
+    if let Some(cached) = cached {
         Registry::bump(&shared.registry.cache_hits);
         Registry::bump(&shared.registry.classify_ok);
         return Response::json(200, cached.as_bytes().to_vec())
@@ -461,11 +414,11 @@ fn classify(shared: &Shared, shard: usize, body: &[u8]) -> Response {
             &mut timings,
         )
     }));
-    shared.registry.merge_timings(shard, &timings);
+    shared.registry.merge_timings(&timings);
     match detected {
         Ok(Ok(structure)) => {
             let json = Arc::new(structure.to_json());
-            lock(&shared.caches(shard).results).insert(key, Arc::clone(&json));
+            lock(&shared.results).insert(key, Arc::clone(&json));
             Registry::bump(&shared.registry.classify_ok);
             Response::json(200, json.as_bytes().to_vec()).with_header("X-Strudel-Cache", "miss")
         }
@@ -489,16 +442,17 @@ fn classify(shared: &Shared, shard: usize, body: &[u8]) -> Response {
 /// *original* bytes — the address for later `GET /pack/<key>` fetches
 /// and selective extractions. Containers share the classify cache's
 /// keying (the same [`CacheKey`] fingerprint) but live in their own
-/// per-shard LRU, so packing traffic cannot evict classification
-/// results, and their hit/miss traffic is tracked as the `pack` cache
-/// family in `/metrics`.
-fn pack(shared: &Shared, shard: usize, body: &[u8]) -> Response {
+/// LRU, so packing traffic cannot evict classification results, and
+/// their hit/miss traffic is tracked as the `pack` cache family in
+/// `/metrics`.
+fn pack(shared: &Shared, body: &[u8]) -> Response {
     shared
         .registry
         .bytes_in
         .fetch_add(body.len() as u64, Ordering::Relaxed);
     let key = CacheKey::of(body);
-    if let Some(cached) = shared.cached_pack(shard, &key) {
+    let cached = lock(&shared.packs).get(&key);
+    if let Some(cached) = cached {
         Registry::bump(&shared.registry.pack_cache_hits);
         Registry::bump(&shared.registry.pack_ok);
         return Response::new(200, "application/octet-stream", cached.as_ref().clone())
@@ -517,11 +471,11 @@ fn pack(shared: &Shared, shard: usize, body: &[u8]) -> Response {
     let packed = catch_unwind(AssertUnwindSafe(|| {
         strudel_pack::pack_bytes_metered(&model, body, config, &mut timings)
     }));
-    shared.registry.merge_timings(shard, &timings);
+    shared.registry.merge_timings(&timings);
     match packed {
         Ok(Ok(packed)) => {
             let container = Arc::new(packed.bytes);
-            lock(&shared.caches(shard).packs).insert(key, Arc::clone(&container));
+            lock(&shared.packs).insert(key, Arc::clone(&container));
             Registry::bump(&shared.registry.pack_ok);
             Response::new(200, "application/octet-stream", container.as_ref().clone())
                 .with_header("X-Strudel-Pack-Key", key.to_hex())
@@ -545,7 +499,7 @@ fn pack(shared: &Shared, shard: usize, body: &[u8]) -> Response {
 /// `X-Strudel-Cache` header reports whether the container was found
 /// (`hit`) or the key is unknown (`miss`), mirroring the classify
 /// route's cache transparency.
-fn unpack(shared: &Shared, shard: usize, request: &Request) -> Response {
+fn unpack(shared: &Shared, request: &Request) -> Response {
     let hex = request.path.strip_prefix("/pack/").unwrap_or_default();
     let Some(key) = CacheKey::from_hex(hex) else {
         Registry::bump(&shared.registry.unpack_err);
@@ -558,7 +512,7 @@ fn unpack(shared: &Shared, shard: usize, request: &Request) -> Response {
             ),
         );
     };
-    let Some(container) = shared.cached_pack(shard, &key) else {
+    let Some(container) = lock(&shared.packs).get(&key) else {
         Registry::bump(&shared.registry.pack_cache_misses);
         Registry::bump(&shared.registry.unpack_err);
         return Response::json(
@@ -611,13 +565,14 @@ fn unpack(shared: &Shared, shard: usize, request: &Request) -> Response {
 
     let mut timings = StageTimings::default();
     let timer = strudel::StageTimer::start(strudel::Stage::Unpack);
-    let result = extract_selection(&container, table, column.as_deref());
+    let result = strudel_pack::PackReader::open(&container)
+        .and_then(|mut reader| reader.select(table, column.as_deref()));
     timer.stop(&mut timings);
-    shared.registry.merge_timings(shard, &timings);
+    shared.registry.merge_timings(&timings);
     match result {
         Ok(Some(text)) => {
             Registry::bump(&shared.registry.unpack_ok);
-            Response::new(200, "text/csv; charset=utf-8", text.into_bytes())
+            Response::new(200, "text/csv; charset=utf-8", text)
                 .with_header("X-Strudel-Pack-Key", key.to_hex())
                 .with_header("X-Strudel-Cache", "hit")
         }
@@ -633,32 +588,6 @@ fn unpack(shared: &Shared, shard: usize, request: &Request) -> Response {
             Registry::bump(&shared.registry.unpack_err);
             error_response(&error)
         }
-    }
-}
-
-/// Run one selective extraction against a container. `Ok(None)` means
-/// the named column does not exist (the caller owns the 404 wording).
-fn extract_selection(
-    container: &[u8],
-    table: Option<usize>,
-    column: Option<&str>,
-) -> Result<Option<String>, StrudelError> {
-    let mut reader = strudel_pack::PackReader::open(container)?;
-    match (column, table) {
-        (Some(column), table) => {
-            let Some((t, c)) = reader.find_column(column, table) else {
-                return Ok(None);
-            };
-            let values = reader.extract_column(t, c)?;
-            let mut text = String::new();
-            for value in values {
-                text.push_str(&value.unwrap_or_default());
-                text.push('\n');
-            }
-            Ok(Some(text))
-        }
-        (None, Some(table)) => reader.extract_table(table).map(Some),
-        (None, None) => unreachable!("caller handles the selector-free fetch"),
     }
 }
 
@@ -724,7 +653,6 @@ enum StreamOutcome {
 /// errors arrive as a final `{"error": ...}` event line instead.
 pub(crate) fn classify_stream(
     shared: &Shared,
-    shard: usize,
     request: &Request,
     leftover: Vec<u8>,
     stream: &mut TcpStream,
@@ -773,7 +701,7 @@ pub(crate) fn classify_stream(
             };
         }
     };
-    shared.registry.merge_timings(shard, classifier.timings());
+    shared.registry.merge_timings(classifier.timings());
     match outcome {
         StreamOutcome::Done(summary) => {
             // A single-window stream emits its window only at finish.
@@ -911,12 +839,9 @@ fn reload(shared: &Shared, body: &[u8]) -> Response {
             *shared.model.write().unwrap_or_else(|e| e.into_inner()) = swapped;
             *lock(&shared.model_path) = Some(path.clone());
             // A new model may segment the same bytes into different
-            // tables, so every shard's cached results and containers
-            // are stale.
-            for caches in &shared.shards {
-                lock(&caches.results).clear();
-                lock(&caches.packs).clear();
-            }
+            // tables, so every cached result and container is stale.
+            lock(&shared.results).clear();
+            lock(&shared.packs).clear();
             Registry::bump(&shared.registry.reload_ok);
             Response::json(
                 200,

@@ -27,10 +27,11 @@
 //!    `Connection: close` exchange, exceeded the per-connection
 //!    request cap, or idled past the keep-alive timeout.
 //!
-//! No lock is taken anywhere on the accept→serve path: admission is a
-//! shard-local counter (the size of the owned set), caches and stage
-//! timings are shard-local, and the only shared state a request
-//! touches is the model `RwLock<Arc>` snapshot and the shutdown flag.
+//! No lock is taken on the accept path: admission is a shard-local
+//! counter (the size of the owned set). Serving a request touches the
+//! model `RwLock<Arc>` snapshot, the shutdown flag, and the daemon's
+//! one result cache, pack cache and timing sink, each behind its own
+//! mutex held for a lookup, an insert or a merge.
 //!
 //! ## Drain protocol
 //!
@@ -40,7 +41,9 @@
 //! connection once its buffer drains. The shard exits when it owns no
 //! connections; [`crate::Server::run`] joins all shards.
 
-use crate::http::{parse_request_head, HttpError, Request, Response, FALLBACK_MAX_BODY};
+use crate::http::{
+    body_length, parse_request_head, HttpError, Request, Response, FALLBACK_MAX_BODY,
+};
 use crate::metrics::Registry;
 use crate::server::{
     classify_stream, error_body, respond_framing_error, route, shed_connection, Shared,
@@ -203,7 +206,7 @@ struct Conn {
 
 /// The shard loop: poll, accept, serve, sweep — until shutdown drains
 /// the shard empty.
-pub(crate) fn run_shard(shared: &Arc<Shared>, shard: usize, listener: TcpListener) {
+pub(crate) fn run_shard(shared: &Arc<Shared>, listener: TcpListener) {
     let mut conns: Vec<Conn> = Vec::new();
     loop {
         let draining = shared.shutting_down();
@@ -217,7 +220,7 @@ pub(crate) fn run_shard(shared: &Arc<Shared>, shard: usize, listener: TcpListene
         // `accept_burst` only appends, so poll-time indexes stay valid.
         let mut close = vec![false; conns.len()];
         for &i in &ready.conns {
-            if !service(shared, shard, &mut conns[i]) {
+            if !service(shared, &mut conns[i]) {
                 close[i] = true;
             }
         }
@@ -294,7 +297,7 @@ enum NextRequest {
 /// Pump one readable connection: read whatever the wire offers, then
 /// serve every complete buffered request — the pipelining loop.
 /// Returns `false` when the connection must close.
-fn service(shared: &Arc<Shared>, shard: usize, conn: &mut Conn) -> bool {
+fn service(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
     let mut saw_eof = false;
     let mut chunk = [0u8; READ_CHUNK];
     loop {
@@ -317,7 +320,7 @@ fn service(shared: &Arc<Shared>, shard: usize, conn: &mut Conn) -> bool {
         match next_request(conn, max_body) {
             Ok(NextRequest::NeedMore) => break,
             Ok(NextRequest::Ready(request)) => {
-                if !serve_request(shared, shard, conn, &request) {
+                if !serve_request(shared, conn, &request) {
                     return false;
                 }
             }
@@ -327,7 +330,7 @@ fn service(shared: &Arc<Shared>, shard: usize, conn: &mut Conn) -> bool {
                 // in blocking mode, bounded by the read timeout; its
                 // chunked response announces `Connection: close`.
                 if conn.stream.set_nonblocking(false).is_ok() {
-                    classify_stream(shared, shard, &head, leftover, &mut conn.stream);
+                    classify_stream(shared, &head, leftover, &mut conn.stream);
                 }
                 return false;
             }
@@ -350,10 +353,9 @@ fn service(shared: &Arc<Shared>, shard: usize, conn: &mut Conn) -> bool {
 
 /// Parse the next complete request out of the connection's buffer,
 /// consuming exactly its bytes (the remainder is the next pipelined
-/// request). Mirrors the framing contract of the blocking readers in
-/// [`crate::http`]: strict `Content-Length` on every route except
-/// `/classify/stream`, which accepts chunked bodies and is handed the
-/// raw buffer remainder instead.
+/// request). Every route but `/classify/stream` is framed by a strict
+/// `Content-Length` ([`body_length`]); that route accepts chunked
+/// bodies and is handed the raw buffer remainder instead.
 fn next_request(conn: &mut Conn, max_body: u64) -> Result<NextRequest, HttpError> {
     let Some((mut head, body_start)) = parse_request_head(&conn.buf)? else {
         return Ok(NextRequest::NeedMore);
@@ -363,23 +365,8 @@ fn next_request(conn: &mut Conn, max_body: u64) -> Result<NextRequest, HttpError
         conn.buf.clear();
         return Ok(NextRequest::Stream(head, leftover));
     }
-    if let Some(te) = head.header("transfer-encoding") {
-        return Err(HttpError::Unsupported(format!(
-            "transfer-encoding {te:?} not supported; use content-length framing"
-        )));
-    }
-    let declared: u64 = match head.header("content-length") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| HttpError::Malformed(format!("invalid content-length {v:?}")))?,
-        None => 0,
-    };
-    if declared > max_body {
-        return Err(HttpError::BodyTooLarge {
-            declared,
-            max: max_body,
-        });
-    }
+    let declared = body_length(&head, false, max_body)?
+        .expect("a route that does not speak chunked gets a length");
     let declared = declared as usize;
     if conn.buf.len() < body_start + declared {
         return Ok(NextRequest::NeedMore);
@@ -392,8 +379,8 @@ fn next_request(conn: &mut Conn, max_body: u64) -> Result<NextRequest, HttpError
 /// Route one request and write its response, deciding whether the
 /// connection persists. Returns `false` when it must close (client
 /// asked, cap hit, write failed, or the daemon is shutting down).
-fn serve_request(shared: &Arc<Shared>, shard: usize, conn: &mut Conn, request: &Request) -> bool {
-    let routed = catch_unwind(AssertUnwindSafe(|| route(shared, shard, request)));
+fn serve_request(shared: &Arc<Shared>, conn: &mut Conn, request: &Request) -> bool {
+    let routed = catch_unwind(AssertUnwindSafe(|| route(shared, request)));
     let (response, shutdown) = routed.unwrap_or_else(|_| {
         Registry::bump(&shared.registry.http_err);
         (
@@ -510,6 +497,33 @@ mod tests {
             next_request(&mut conn, 10),
             Err(HttpError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn signed_or_conflicting_content_lengths_are_malformed() {
+        // A `+` sign, or two lengths that disagree (the second would
+        // frame the pipelined request behind a proxy that reads it),
+        // is a 400; repeating one value frames as usual.
+        for head in [
+            "Content-Length: +3\r\n",
+            "Content-Length: 3\r\nContent-Length: 5\r\n",
+        ] {
+            let wire = format!("POST / HTTP/1.1\r\n{head}\r\nabcdeGET / HTTP/1.1\r\n\r\n");
+            let (mut conn, _peer) = conn_with(wire.as_bytes());
+            assert!(
+                matches!(
+                    next_request(&mut conn, 1 << 20),
+                    Err(HttpError::Malformed(_))
+                ),
+                "{head:?}"
+            );
+        }
+        let (mut conn, _peer) =
+            conn_with(b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc");
+        match next_request(&mut conn, 1 << 20).unwrap() {
+            NextRequest::Ready(r) => assert_eq!(r.body, b"abc"),
+            _ => panic!("expected the framed request"),
+        }
     }
 
     #[test]

@@ -263,8 +263,8 @@ fn classify_roundtrip_matches_one_shot_and_caches() {
     assert_eq!(first.body, expected);
     assert_eq!(first.header("x-strudel-cache"), Some("miss"));
 
-    // Second identical request: served from the result cache — found by
-    // the cross-shard probe no matter which shard accepted it.
+    // Second identical request: served from the daemon's one result
+    // cache, no matter which shard accepted it.
     let second = request(addr, "POST", "/classify", SAMPLE.as_bytes());
     assert_eq!(second.status, 200);
     assert_eq!(second.body, expected);

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Smoke-test the `strudel serve` daemon end to end: build, train a tiny
-# model, start the server on an ephemeral port, classify a file over
-# HTTP, check /healthz and /metrics, then shut down gracefully and
-# assert a clean exit. No external HTTP client beyond curl is needed.
+# model, start the server on 2 shards on an ephemeral port, classify a
+# file over HTTP, check /healthz, /metrics and keep-alive reuse, check
+# that a repeat classify hits the cache and that a chunked upload to
+# /classify/stream finishes, then shut down gracefully and assert a
+# clean exit. No external HTTP client beyond curl is needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,6 +72,20 @@ if [[ "$((conns_after - conns_before))" != "2" ]]; then
   exit 1
 fi
 echo "--- keep-alive reuse OK ($conns_before -> $conns_after connections for 3 requests) ---"
+
+# The repeat classify is answered from the daemon's one result cache,
+# whichever of the two shards accepts it.
+cache="$(curl -sS -o /dev/null -D - --data-binary @"$work/probe.csv" "http://$addr/classify" \
+  | tr -d '\r' | awk -F': ' 'tolower($1) == "x-strudel-cache" {print $2}')"
+[[ "$cache" == "hit" ]] || { echo "error: repeat classify answered X-Strudel-Cache: '$cache'" >&2; exit 1; }
+echo "--- repeat classify answered from the cache ---"
+
+# A chunked upload to the streaming route ends with its summary event.
+events="$(curl -sS -H 'Transfer-Encoding: chunked' --data-binary @"$work/probe.csv" \
+  "http://$addr/classify/stream")"
+[[ "$(echo "$events" | tail -n 1)" == *'"done": true'* ]] \
+  || { echo "error: chunked /classify/stream did not end with a done event: $events" >&2; exit 1; }
+echo "--- chunked /classify/stream OK ---"
 
 curl -sS -X POST "http://$addr/admin/shutdown" >/dev/null
 wait "$server_pid"
