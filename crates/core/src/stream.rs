@@ -557,9 +557,11 @@ fn check_total_bytes(actual: u64, max_total: Option<u64>) -> Result<(), StrudelE
 /// Classify a [`std::io::Read`] source end to end in
 /// [`STREAM_CHUNK_BYTES`] chunks, invoking `on_window` for each emitted
 /// window as soon as it closes (peak memory stays O(window) as long as
-/// the callback does not retain the windows). The classifier's stage
-/// timings merge into `timings` whether or not the stream succeeds, so
-/// the work done before a failure still shows up in the caller's sink.
+/// the callback does not retain the windows). A failing stream still
+/// delivers every window that closed before the error, whichever read
+/// the error arrived in, and the classifier's stage timings merge into
+/// `timings` whether or not the stream succeeds, so the work done
+/// before a failure still shows up in the caller's sink.
 pub fn classify_reader<R: std::io::Read>(
     model: &Strudel,
     reader: &mut R,
@@ -577,18 +579,19 @@ pub fn classify_reader<R: std::io::Read>(
             if n == 0 {
                 break;
             }
-            classifier.push(&chunk[..n])?;
+            let pushed = classifier.push(&chunk[..n]);
             classifier
                 .drain_windows()
                 .into_iter()
                 .for_each(&mut *on_window);
+            pushed?;
         }
-        let summary = classifier.finish()?;
+        let summary = classifier.finish();
         classifier
             .drain_windows()
             .into_iter()
             .for_each(&mut *on_window);
-        Ok(summary)
+        summary
     })();
     timings.merge(classifier.timings());
     result
@@ -971,24 +974,37 @@ mod tests {
     #[test]
     fn classify_reader_keeps_timings_of_a_failed_stream() {
         // The stream turns into invalid UTF-8 after whole windows have
-        // closed: the error is returned, and the closed windows' stage
-        // observations still land in the caller's sink.
+        // closed: the error is returned, the closed windows are
+        // delivered, and their stage observations still land in the
+        // caller's sink — whether the bad byte arrives in a later read
+        // or in the same read as the windows.
         let model = fitted();
         let text = multi_table_text();
-        let mut windows = 0u64;
-        let mut timings = StageTimings::default();
-        let err = classify_reader(
-            &model,
-            &mut std::io::Read::chain(text.as_bytes(), &b"a,\xFFb\n"[..]),
-            small_windows(),
-            &mut timings,
-            &mut |_| windows += 1,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("invalid UTF-8"), "{err}");
-        assert!(windows >= 1, "a window must close before the bad byte");
-        for stage in [Stage::Parse, Stage::LineClassify, Stage::CellClassify] {
-            assert_eq!(timings.count(stage), windows, "{stage:?}");
-        }
+        let bad = &b"a,\xFFb\n"[..];
+        let run = |mut reader: &mut dyn std::io::Read| {
+            let mut windows = Vec::new();
+            let mut timings = StageTimings::default();
+            let err = classify_reader(
+                &model,
+                &mut reader,
+                small_windows(),
+                &mut timings,
+                &mut |w| windows.push((w.index, w.start_byte, w.end_byte, w.structure.to_json())),
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("invalid UTF-8"), "{err}");
+            assert!(
+                !windows.is_empty(),
+                "a window must close before the bad byte"
+            );
+            for stage in [Stage::Parse, Stage::LineClassify, Stage::CellClassify] {
+                assert_eq!(timings.count(stage), windows.len() as u64, "{stage:?}");
+            }
+            (windows, err.to_string())
+        };
+        let split = run(&mut std::io::Read::chain(text.as_bytes(), bad));
+        let one_read = [text.as_bytes(), bad].concat();
+        assert!(one_read.len() < STREAM_CHUNK_BYTES);
+        assert_eq!(run(&mut one_read.as_slice()), split);
     }
 }

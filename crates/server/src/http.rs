@@ -169,10 +169,13 @@ pub fn parse_request_head(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpEr
         if line.is_empty() {
             continue;
         }
-        let Some((name, value)) = line.split_once(':') else {
+        // RFC 9112 §5.1: no whitespace between the name and the colon,
+        // and none before the name (an obsolete line folding). Trimming
+        // it would frame `Content-Length : 3` where a proxy may not.
+        let Some((name, value)) = line.split_once(':').filter(|(name, _)| is_token(name)) else {
             return Err(HttpError::Malformed(format!("malformed header {line:?}")));
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
 
     let request = Request {
@@ -184,6 +187,15 @@ pub fn parse_request_head(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpEr
         body: Vec::new(),
     };
     Ok(Some((request, head_end + 4))) // past "\r\n\r\n"
+}
+
+/// Whether `name` is an RFC 9110 §5.6.2 token, the only valid field
+/// name: one or more ASCII letters, digits and ``!#$%&'*+-.^_`|~``.
+fn is_token(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
 }
 
 /// How a request's body is framed — the one place `Content-Length`

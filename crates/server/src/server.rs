@@ -686,29 +686,29 @@ pub(crate) fn classify_stream(
             .registry
             .bytes_in
             .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+        let mut step = Ok(None);
         if !chunk.is_empty() {
-            if let Err(error) = classifier.push(&chunk) {
-                break StreamOutcome::Pipeline(error);
-            }
-            if emit_windows(&mut writer, stream, &mut classifier).is_err() {
-                break StreamOutcome::Gone;
-            }
+            step = classifier.push(&chunk).map(|()| None);
         }
-        if done {
-            break match classifier.finish() {
-                Ok(summary) => StreamOutcome::Done(summary),
-                Err(error) => StreamOutcome::Pipeline(error),
-            };
+        if done && step.is_ok() {
+            step = classifier.finish().map(Some);
+        }
+        // Windows that closed before an error in the same call go out
+        // first, so the events do not depend on how the body was split
+        // into chunks. A single-window stream emits its window only at
+        // finish.
+        if emit_windows(&mut writer, stream, &mut classifier).is_err() {
+            break StreamOutcome::Gone;
+        }
+        match step {
+            Ok(None) => {}
+            Ok(Some(summary)) => break StreamOutcome::Done(summary),
+            Err(error) => break StreamOutcome::Pipeline(error),
         }
     };
     shared.registry.merge_timings(classifier.timings());
     match outcome {
         StreamOutcome::Done(summary) => {
-            // A single-window stream emits its window only at finish.
-            if emit_windows(&mut writer, stream, &mut classifier).is_err() {
-                Registry::bump(&shared.registry.stream_err);
-                return;
-            }
             let line = format!(
                 "{{\"done\": true, \"dialect\": {}, \"n_windows\": {}, \"n_rows\": {}, \
                  \"total_bytes\": {}}}\n",

@@ -503,10 +503,15 @@ mod tests {
     fn signed_or_conflicting_content_lengths_are_malformed() {
         // A `+` sign, or two lengths that disagree (the second would
         // frame the pipelined request behind a proxy that reads it),
-        // is a 400; repeating one value frames as usual.
+        // is a 400; so is a field name that is no token (whitespace
+        // before the colon, a folded line, a space inside), which a
+        // proxy may ignore. Repeating one value frames as usual.
         for head in [
             "Content-Length: +3\r\n",
             "Content-Length: 3\r\nContent-Length: 5\r\n",
+            "Content-Length : 3\r\n",
+            "\tContent-Length: 3\r\n",
+            "Content Length: 3\r\n",
         ] {
             let wire = format!("POST / HTTP/1.1\r\n{head}\r\nabcdeGET / HTTP/1.1\r\n\r\n");
             let (mut conn, _peer) = conn_with(wire.as_bytes());

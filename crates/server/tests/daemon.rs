@@ -908,6 +908,21 @@ fn streaming_classify_emits_multiple_windows_under_a_small_window_config() {
     assert!(summary.contains(&format!("\"n_windows\": {}", lines.len() - 1)));
     assert!(summary.contains(&format!("\"total_bytes\": {}", text.len())));
 
+    // A trailing invalid byte, in the chunk that closes every window or
+    // in a later one: the windows closed before it go out either way,
+    // and the error is the final event line.
+    let bad = [text.as_bytes(), b"a,\xFFb\n"].concat();
+    let events = |pieces| {
+        let reply = stream_request(addr, &bad, pieces);
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+        dechunk(&reply.body)
+    };
+    let one_chunk = events(1);
+    let (windows, error) = one_chunk.trim_end().rsplit_once('\n').expect("events");
+    assert!(windows.starts_with("{\"window\": 0, "), "{one_chunk}");
+    assert!(error.contains("invalid UTF-8"), "{error}");
+    assert_eq!(events(7), one_chunk);
+
     request(addr, "POST", "/admin/shutdown", b"");
     handle.join();
 }

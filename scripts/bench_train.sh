@@ -9,12 +9,30 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo bench -p strudel-bench --bench train
+baseline="BENCH_train.json"
+out="${BENCH_TRAIN_OUT:-$baseline}"
 
-out="${BENCH_TRAIN_OUT:-BENCH_train.json}"
-if [[ ! -f "$out" ]]; then
-  echo "error: bench did not write $out" >&2
+# The bench writes to a fresh file (an absolute path, so it does not
+# depend on the directory cargo runs benches in) that is copied to
+# `$out` from the repository root.
+fresh="$(mktemp)"
+trap 'rm -f "$fresh"' EXIT
+BENCH_TRAIN_OUT="$fresh" cargo bench -p strudel-bench --bench train
+
+if [[ ! -s "$fresh" ]]; then
+  echo "error: bench did not write its summary" >&2
   exit 1
 fi
+
+# A smoke run never replaces the baseline (its numbers are not
+# publication-grade); write it out only when the caller asked for an
+# explicit destination.
+if [[ "${BENCH_SMOKE:-0}" == "1" && -z "${BENCH_TRAIN_OUT:-}" ]]; then
+  echo "--- smoke summary (baseline $baseline left untouched) ---"
+  cat "$fresh"
+  exit 0
+fi
+
+cp "$fresh" "$out"
 echo "--- $out ---"
 cat "$out"
